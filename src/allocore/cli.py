@@ -1,7 +1,8 @@
-"""Command-line surface: ingest, mask, fit, eval, synth, classes.
+"""Command-line surface: ingest, mask, fit, eval, synth, classes, trace.
 
 Every command writes a manifest into its output directory recording the
-exact invocation. Mode indices and coordinates are 1-based on the command
+exact invocation, one key=value per line (a newline in a value is written
+as backslash-n). Mode indices and coordinates are 1-based on the command
 line and in all files. The environment variable ALLOCORE_THREADS bounds the
 worker pool used for fit sweeps over several Q values.
 """
@@ -14,6 +15,9 @@ import shlex
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+
+import numpy as np
+
 from . import __version__
 from .evaluation import (
     export_classes,
@@ -23,11 +27,13 @@ from .evaluation import (
     ppd_positive,
 )
 from .gibbs import ChainConfig, run_chain
-from .state import Hyperparameters, init_canonical, init_explicit, load_state
+from .state import (Hyperparameters, _read_manifest, init_canonical,
+                    init_explicit, load_state, save_state)
 from .synthetic import (
     SyntheticConfig,
     default_config,
     generate,
+    recovery_trace,
     write_config,
     write_histograms,
     write_trace,
@@ -69,19 +75,7 @@ def _write_manifest(out_dir, command: str, argv: list[str], extra: dict) -> None
     ]
     lines += [f"{k}={v}" for k, v in extra.items()]
     with open(os.path.join(out_dir, "manifest.txt"), "w") as f:
-        f.write("\n".join(lines) + "\n")
-
-
-def _read_manifest(path) -> dict[str, str]:
-    out = {}
-    with open(path) as f:
-        for raw in f:
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#") or "=" not in line:
-                continue
-            key, val = line.split("=", 1)
-            out[key] = val
-    return out
+        f.write("\n".join(line.replace("\n", "\\n") for line in lines) + "\n")
 
 
 def _int_list(text: str) -> list[int]:
@@ -296,10 +290,9 @@ def _existing_result_keys(path) -> set[str]:
 
 
 def _eval_run(run_dir) -> dict:
-    man_path = os.path.join(run_dir, "manifest.txt")
-    if not os.path.exists(man_path):
+    if not os.path.exists(os.path.join(run_dir, "manifest.txt")):
         raise ValueError(f"{run_dir}: no manifest; not a fit output directory")
-    man = _read_manifest(man_path)
+    man = _read_manifest(run_dir)
     if not man.get("mask"):
         raise ValueError(f"{run_dir}: run was fit without a mask; nothing held out")
     tensor = load_coo(man["data"])
@@ -339,13 +332,10 @@ def cmd_eval(args, argv) -> int:
     runs = list(args.runs)
 
     def q_of(run_dir):
-        man_path = os.path.join(run_dir, "manifest.txt")
-        if os.path.exists(man_path):
-            try:
-                return int(_read_manifest(man_path).get("Q", "0"))
-            except ValueError:
-                return 0
-        return 0
+        try:
+            return int(_read_manifest(run_dir).get("Q", "0"))
+        except (OSError, ValueError):
+            return 0
 
     runs.sort(key=q_of)
     existing = _existing_result_keys(args.out)
@@ -390,7 +380,6 @@ def cmd_synth(args, argv) -> int:
     os.makedirs(args.out, exist_ok=True)
     write_coo(tensor, os.path.join(args.out, "tensor.coo"))
     write_config(config, os.path.join(args.out, "config.txt"))
-    from .state import save_state
     save_state(truth.state, os.path.join(args.out, "truth"))
     _write_manifest(args.out, "synth", argv, {
         "shape": " ".join(str(d) for d in config.shape),
@@ -451,6 +440,13 @@ def cmd_trace(args, argv) -> int:
     write_histograms(samples, os.path.join(args.out, "histograms.tsv"))
     _write_manifest(args.out, "trace", argv, {"run": os.path.abspath(args.run)})
     print(f"wrote trace and histograms for {samples.S} samples to {args.out}")
+    q_eff, k_eff = recovery_trace(samples)
+    print(f"{'statistic':<10} {'median':>7} {'iqr':>12}")
+    rows = [("q_eff", q_eff)] + [(f"k_eff_{m + 1}", k) for m, k in enumerate(k_eff.T)]
+    for name, series in rows:
+        lo, hi = np.percentile(series, [25, 75])
+        print(f"{name:<10} {np.median(series):>7.1f} "
+              f"{f'[{lo:.0f}, {hi:.0f}]':>12}")
     return 0
 
 

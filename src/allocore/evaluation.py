@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, logsumexp, xlogy
 
-from .gibbs import MaskCorrections, PosteriorSamples, observed_rate_total
+from .gibbs import MaskCorrections, PosteriorSamples, proportional_train_loglik
 from .state import ModelState, load_state, reconstruct_cells
 from .tensors import FiberMask, HeldoutSet, SparseCountTensor
 
@@ -81,19 +81,13 @@ def ppd_constant_baseline(train: SparseCountTensor, heldout: HeldoutSet) -> floa
 
 def train_loglik(state: ModelState, train: SparseCountTensor,
                  mask: FiberMask | None = None, exact: bool = False) -> float:
-    """Poisson log-likelihood of the training data. The count-dependent sum
-    runs over non-zeros only; the total rate comes from column sums minus the
-    masked-fiber correction. ``exact`` adds the -log(y!) constant."""
-    corrections = MaskCorrections(mask, train.shape)
-    rate_total = observed_rate_total(state, corrections)
-    ll = -rate_total
-    if train.nnz:
-        yhat = reconstruct_cells(state, train.coords)
-        if (yhat <= 0).any():
-            warnings.warn("reconstruction vanished at a positive count; "
-                          "log-likelihood is -inf", RuntimeWarning)
-            return float("-inf")
-        ll += float(train.counts @ np.log(yhat))
+    """Poisson log-likelihood of the training data: the proportional
+    log-likelihood the chain logs, plus the -log(y!) constant if ``exact``."""
+    ll = proportional_train_loglik(state, train, MaskCorrections(mask, train.shape))
+    if ll == -math.inf:
+        warnings.warn("reconstruction vanished at a positive count; "
+                      "log-likelihood is -inf", RuntimeWarning)
+        return ll
     if exact:
         ll -= float(gammaln(train.counts + 1.0).sum())
     return ll

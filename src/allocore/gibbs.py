@@ -53,6 +53,7 @@ __all__ = [
     "run_chain",
     "proportional_train_loglik",
     "observed_rate_total",
+    "class_mass",
 ]
 
 FREEZABLE_BLOCKS = frozenset({"locations", "lambda", "phi", "pi"})
@@ -122,11 +123,8 @@ def thin_counts(state: ModelState, train: SparseCountTensor,
         per_cell[:, Q - 1] = remaining
 
     totals = per_cell.sum(axis=0)
-    marginals = [
-        _accumulate_rows(train.coords[:, m], per_cell, d) if nnz
-        else np.zeros((d, Q), dtype=np.int64)
-        for m, d in enumerate(state.shape)
-    ]
+    marginals = [_accumulate_rows(train.coords[:, m], per_cell, d)
+                 for m, d in enumerate(state.shape)]
     sources = LatentSources(per_cell=per_cell, totals=totals,
                             mode_marginals=marginals, factor_counts=[])
     sources.factor_counts = sources.recompute_factor_counts(state)
@@ -141,6 +139,13 @@ class MaskCorrections:
     mode. Everything here is recomputed from the current state on demand;
     with no mask all corrections are identically zero and the samplers skip
     the subtraction entirely.
+
+    Every method takes the same floating-point steps, in the same order, for
+    one q or for an array of them, so chains do not depend on which form a
+    caller uses. Stem products multiply the modes before the one left out
+    from left to right and the modes after it from right to left, then the
+    two parts; sums over stems run along the last axis of a C-ordered
+    (Q, S) array, which adds in the same order as a 1-D sum per q.
     """
 
     def __init__(self, mask: FiberMask | None, shape: tuple[int, ...]):
@@ -156,63 +161,77 @@ class MaskCorrections:
         self.stem_modes = [m for m in range(M) if m != mask.free_mode]
         self.stems = mask.stems
 
-    def _stem_factor_matrix(self, state: ModelState, q: int) -> np.ndarray:
-        """G[s, j] = factor value of stem s in stem mode j at q's sub-index."""
-        cols = [state.factors[m][self.stems[:, j], state.core_locations[q, m]]
-                for j, m in enumerate(self.stem_modes)]
-        return np.stack(cols, axis=1)
+    def _stem_product(self, state: ModelState, q, skip: int = -1) -> np.ndarray:
+        """Product over the stem modes other than ``skip`` of each stem's
+        factor values at q's sub-indices: (S,) for one q, (len(q), S) for
+        an array of them."""
+        kappa = state.core_locations[q]
 
-    @staticmethod
-    def _leave_one_out(G: np.ndarray) -> np.ndarray:
-        n, J = G.shape
-        left = np.ones_like(G)
-        right = np.ones_like(G)
-        for j in range(1, J):
-            left[:, j] = left[:, j - 1] * G[:, j - 1]
-        for j in range(J - 2, -1, -1):
-            right[:, j] = right[:, j + 1] * G[:, j + 1]
-        return left * right
+        def column(j):
+            m = self.stem_modes[j]
+            return state.factors[m][self.stems[:, j], kappa[..., m, None]]
+
+        J = len(self.stem_modes)
+        cut = self.stem_modes.index(skip) if skip in self.stem_modes else J
+        prefix = np.ones(np.shape(q) + (len(self.stems),))
+        suffix = np.ones_like(prefix)
+        for j in range(cut):
+            prefix *= column(j)
+        for j in range(J - 1, cut, -1):
+            suffix *= column(j)
+        return prefix * suffix
 
     def masked_rate_totals(self, state: ModelState,
                            colsums: list[np.ndarray]) -> np.ndarray:
         """For each q: sum over masked cells of the factor product at q's
         location (the correction to the lambda rate and the total rate)."""
-        out = np.zeros(state.Q)
         if not self.active:
-            return out
-        s_free = colsums[self.free_mode]
-        for q in range(state.Q):
-            G = self._stem_factor_matrix(state, q)
-            out[q] = G.prod(axis=1).sum() * s_free[state.core_locations[q, self.free_mode]]
-        return out
+            return np.zeros(state.Q)
+        s_free = colsums[self.free_mode][state.core_locations[:, self.free_mode]]
+        return self._stem_product(state, np.arange(state.Q)).sum(axis=1) * s_free
 
-    def mode_weights(self, state: ModelState, q: int, m: int,
+    def mode_weights(self, state: ModelState, q, m: int,
                      colsums: list[np.ndarray]) -> np.ndarray:
         """w[d] = sum over masked cells with mode-m coordinate d of the
-        product of q's factor values over the other modes."""
+        product of q's factor values over the other modes. ``q`` is one
+        index, giving (D_m,), or an array of them, giving (len(q), D_m)."""
         D = self.shape[m]
-        G = self._stem_factor_matrix(state, q)
         if m == self.free_mode:
-            return np.full(D, G.prod(axis=1).sum())
-        j = self.stem_modes.index(m)
-        loo = self._leave_one_out(G)[:, j]
-        u = np.bincount(self.stems[:, j], weights=loo, minlength=D)
-        return u * colsums[self.free_mode][state.core_locations[q, self.free_mode]]
+            total = self._stem_product(state, q).sum(axis=-1)
+            return np.full(np.shape(q) + (D,), total[..., None])
+        rows = np.arange(np.size(q)).reshape(np.shape(q) + (1,))
+        keys = rows * D + self.stems[:, self.stem_modes.index(m)]
+        u = np.bincount(keys.ravel(), weights=self._stem_product(state, q, m).ravel(),
+                        minlength=np.size(q) * D).reshape(np.shape(q) + (D,))
+        return u * colsums[self.free_mode][state.core_locations[q, self.free_mode, None]]
 
     def phi_corrections(self, state: ModelState, m: int,
                         colsums: list[np.ndarray]) -> np.ndarray:
         """(D_m, K_m) correction matrix for the factor-entry rate sums."""
-        out = np.zeros((self.shape[m], state.K[m]))
         if not self.active:
-            return out
-        for q in range(state.Q):
-            out[:, state.core_locations[q, m]] += (
-                state.core_values[q] * self.mode_weights(state, q, m, colsums))
-        return out
+            return np.zeros((self.shape[m], state.K[m]))
+        w = self.mode_weights(state, np.arange(state.Q), m, colsums)
+        return _group_columns((state.core_values[:, None] * w).T,
+                              state.core_locations[:, m], state.K[m])
 
 
 def _colsums(state: ModelState) -> list[np.ndarray]:
     return [f.sum(axis=0) for f in state.factors]
+
+
+def class_mass(state: ModelState, colsums: list[np.ndarray], values=None,
+               q=slice(None), skip: int = -1):
+    """values * prod over modes m != skip of colsums[m][kappa[q, m]]: the
+    rate of core entries q summed over every cell, optionally leaving mode
+    ``skip`` out. ``values`` defaults to the core values at q. The product
+    runs values first, then the modes in ascending order; saved states and
+    logged log-likelihoods depend on that order bit for bit."""
+    kappa = state.core_locations[q]
+    out = state.core_values[q] if values is None else values
+    for m, colsum in enumerate(colsums):
+        if m != skip:
+            out = out * colsum[kappa[..., m]]
+    return out
 
 
 def observed_rate_total(state: ModelState,
@@ -220,9 +239,7 @@ def observed_rate_total(state: ModelState,
     """Sum of the reconstruction over all observed (unmasked) cells, computed
     from column sums rather than cell enumeration."""
     colsums = _colsums(state)
-    per_q = state.core_values.copy()
-    for m in range(state.M):
-        per_q *= colsums[m][state.core_locations[:, m]]
+    per_q = class_mass(state, colsums)
     if corrections is not None and corrections.active:
         per_q = np.maximum(
             per_q - state.core_values * corrections.masked_rate_totals(state, colsums),
@@ -256,9 +273,7 @@ def lambda_conditional_params(state: ModelState, sources: LatentSources,
     product over modes of the factor column sums at q's location, minus the
     masked-cell correction."""
     colsums = _colsums(state)
-    prod = np.ones(state.Q)
-    for m in range(state.M):
-        prod = prod * colsums[m][state.core_locations[:, m]]
+    prod = class_mass(state, colsums, values=1.0)
     if corrections.active:
         prod = np.maximum(prod - corrections.masked_rate_totals(state, colsums), 0.0)
     shape = state.hyper.a0 + sources.totals
@@ -280,12 +295,8 @@ def phi_conditional_params(state: ModelState, sources: LatentSources,
     """Gamma (shape, rate) matrices for every entry of factor matrix m,
     using the current values of the other modes' factors."""
     colsums = _colsums(state)
-    contrib = state.core_values.copy()
-    for mm in range(state.M):
-        if mm != m:
-            contrib *= colsums[mm][state.core_locations[:, mm]]
     base = np.zeros(state.K[m])
-    np.add.at(base, state.core_locations[:, m], contrib)
+    np.add.at(base, state.core_locations[:, m], class_mass(state, colsums, skip=m))
     c = np.broadcast_to(base, (state.shape[m], state.K[m]))
     if corrections.active:
         c = np.maximum(c - corrections.phi_corrections(state, m, colsums), 0.0)
@@ -327,11 +338,7 @@ def location_log_weights(state: ModelState, sources: LatentSources,
     nz = np.flatnonzero(marg)
     data_term = (marg[nz].astype(np.float64) @ log_factors[nz, :]
                  if nz.size else np.zeros(state.K[m]))
-    c_other = state.core_values[q]
-    for mm in range(state.M):
-        if mm != m:
-            c_other *= colsums[mm][state.core_locations[q, mm]]
-    rate_term = c_other * colsums[m]
+    rate_term = class_mass(state, colsums, q=q, skip=m) * colsums[m]
     if corrections.active:
         w = corrections.mode_weights(state, q, m, colsums)
         rate_term = np.maximum(rate_term - state.core_values[q] * (w @ state.factors[m]),
@@ -468,11 +475,16 @@ def run_chain(train: SparseCountTensor, mask: FiberMask | None,
         with open(marker, "w") as f:
             f.write("chain in progress\n")
         log_path = os.path.join(out_dir, CHAIN_LOG_NAME)
-        fresh = not os.path.exists(log_path) or first_iter == 1
-        log_file = open(log_path, "w" if fresh else "a")
-        if fresh:
-            log_file.write(f"# sweep={','.join(SWEEP_ORDER)} seed={seed}\n")
-            log_file.write(_chain_log_header(state.M) + "\n")
+        # A resumed chain keeps the rows before its checkpoint; rows a
+        # killed run logged past it are about to be logged again.
+        kept = []
+        if os.path.exists(log_path) and first_iter > 1:
+            with open(log_path) as f:
+                kept = [line for line in f if not line[0].isdigit()
+                        or int(line.split("\t", 1)[0]) < first_iter]
+        log_file = open(log_path, "w")
+        log_file.writelines(kept or [f"# sweep={','.join(SWEEP_ORDER)} seed={seed}\n",
+                                     _chain_log_header(state.M) + "\n"])
 
     saved: list[ModelState] = []
     saved_iters: list[int] = []

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gibbs import PosteriorSamples
+from .gibbs import PosteriorSamples, observed_rate_total
 from .state import TINY, Hyperparameters, ModelState, effective_dims
 from .tensors import SparseCountTensor
 
@@ -157,12 +157,7 @@ def generate(config: SyntheticConfig,
 
 def expected_total(truth: GroundTruth) -> float:
     """Expected grand total of the generated tensor given its parameters."""
-    st = truth.state
-    colsums = [f.sum(axis=0) for f in st.factors]
-    per_q = st.core_values.copy()
-    for m in range(st.M):
-        per_q *= colsums[m][st.core_locations[:, m]]
-    return float(per_q.sum())
+    return observed_rate_total(truth.state)
 
 
 def recovery_trace(samples: PosteriorSamples) -> tuple[np.ndarray, np.ndarray]:

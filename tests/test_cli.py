@@ -187,6 +187,19 @@ class TestEval:
         qs = [int(r[3]) for r in rows]
         assert qs == sorted(qs)
 
+    def test_newline_in_argv_keeps_manifest_readable(self, synth_coo, tmp_path):
+        out = tmp_path / "a\nb" / "run"
+        rc = run_cli("fit", "--data", synth_coo, "--mask-frac", "0.01",
+                     "--mask-mode", "3", "--Q", "3", "--burnin", "0",
+                     "--iters", "2", "--thin", "2", "--seed", "1", "--out", out)
+        assert rc == 0
+        argv = [line for line in (out / "manifest.txt").read_text().splitlines()
+                if line.startswith("argv=")]
+        assert len(argv) == 1 and "a\\nb" in argv[0]
+        table = tmp_path / "results.tsv"
+        assert run_cli("eval", "--runs", out, "--out", table) == 0
+        assert len(table.read_text().splitlines()) == 2
+
     def test_missing_samples_reported(self, tmp_path, capsys):
         empty = tmp_path / "not_a_run"
         empty.mkdir()
@@ -214,6 +227,21 @@ class TestSynthCommand:
         assert rc == 0
         tensor = load_coo(out / "tensor.coo")
         assert tensor.shape == (12, 12, 4)
+
+
+class TestTraceCommand:
+    def test_median_and_iqr_table(self, synth_coo, tmp_path, capsys):
+        run = tmp_path / "run"
+        run_cli("fit", "--data", synth_coo, "--Q", "4", "--burnin", "0",
+                "--iters", "4", "--thin", "2", "--seed", "2", "--out", run)
+        capsys.readouterr()
+        rc = run_cli("trace", "--run", run, "--out", tmp_path / "trace")
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].split() == ["statistic", "median", "iqr"]
+        assert [line.split()[0] for line in lines[2:]] == [
+            "q_eff", "k_eff_1", "k_eff_2", "k_eff_3"]
+        assert (tmp_path / "trace" / "trace.tsv").exists()
 
 
 class TestClassesCommand:

@@ -16,7 +16,7 @@ from allocore.evaluation import (
     train_loglik,
 )
 from allocore.gibbs import PosteriorSamples
-from allocore.state import init_canonical, init_explicit, reconstruct_at
+from allocore.state import TINY, init_canonical, init_explicit, reconstruct_at
 from allocore.tensors import HeldoutSet, SparseCountTensor
 
 
@@ -193,6 +193,14 @@ class TestTrainLoglik:
                     - reconstruct_at(state, d)
                     for d in itertools.product(range(5), range(5)))
         assert train_loglik(state, train) == pytest.approx(brute, abs=1e-10)
+
+    def test_vanished_reconstruction_warns_and_is_minus_inf(self):
+        state = init_canonical((3, 3), 2, seed=0)
+        state.factors[0][1] = TINY
+        state.factors[1][2] = TINY
+        train = SparseCountTensor.from_entries((3, 3), {(0, 0): 2, (1, 2): 1})
+        with pytest.warns(RuntimeWarning, match="vanished"):
+            assert train_loglik(state, train) == -math.inf
 
 
 class TestTopClasses:

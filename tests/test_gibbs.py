@@ -289,7 +289,7 @@ class TestMaskCorrections:
         observed = sorted(set(cells) - {tuple(r) for r in heldout.coords})
         return shape, train, mask, state, observed
 
-    @pytest.mark.parametrize("free_mode", [0, 2])
+    @pytest.mark.parametrize("free_mode", [0, 1, 2])
     def test_rate_sums_match_direct_summation(self, free_mode):
         shape, train, mask, state, observed = self._brute_setup(free_mode)
         corr = MaskCorrections(mask, shape)
@@ -356,6 +356,33 @@ class TestMaskCorrections:
             s0, r0 = lambda_conditional_params(state, src, no_mask(train.shape))
             assert np.array_equal(s1, s0) and np.array_equal(r1, r0)
 
+    @pytest.mark.parametrize("shape", [(4, 3, 5, 2), (3, 4, 2, 3, 2)])
+    def test_mode_weights_for_all_q_equal_one_q_at_a_time(self, shape):
+        M, Q = len(shape), 5
+        rng = np.random.default_rng(M)
+        state = init_explicit(shape, (2,) * M, Q, "allocore",
+                              Hyperparameters(f0=1.0), seed=M)
+        for f in state.factors:
+            f *= rng.gamma(0.5, 1.0, size=f.shape)
+        colsums = [f.sum(axis=0) for f in state.factors]
+        for free_mode in range(M):
+            others = [d for m, d in enumerate(shape) if m != free_mode]
+            stems = np.unique(rng.integers(0, others, size=(12, M - 1)), axis=0)
+            corr = MaskCorrections(FiberMask(free_mode=free_mode, stems=stems), shape)
+            s_free = colsums[free_mode][state.core_locations[:, free_mode]]
+            totals = [corr.mode_weights(state, q, free_mode, colsums)[0] * s_free[q]
+                      for q in range(Q)]
+            assert np.array_equal(corr.masked_rate_totals(state, colsums), totals)
+            for m in range(M):
+                all_q = corr.mode_weights(state, np.arange(Q), m, colsums)
+                assert all_q.shape == (Q, shape[m])
+                loop = np.zeros((shape[m], 2))
+                for q in range(Q):
+                    one = corr.mode_weights(state, q, m, colsums)
+                    assert np.array_equal(all_q[q], one)
+                    loop[:, state.core_locations[q, m]] += state.core_values[q] * one
+                assert np.array_equal(corr.phi_corrections(state, m, colsums), loop)
+
 
 class TestChainConfig:
     def test_defaults_give_canonical_sample_count(self):
@@ -412,6 +439,30 @@ class TestRunChain:
             for m in range(3):
                 assert np.array_equal(a.factors[m], b.factors[m])
         assert not (part_dir / "INCOMPLETE").exists()
+
+    def test_resume_after_kill_between_checkpoints_keeps_log_rows_once(
+            self, tmp_path):
+        train, state = random_instance(3)
+        cfg = ChainConfig(burn_in=0, total=6, thin=2)
+        run_chain(train, None, state, cfg, out_dir=str(tmp_path / "full"))
+
+        def kill_at_4(it, snap):
+            if it == 4:
+                raise RuntimeError("killed")
+
+        part = tmp_path / "part"
+        with pytest.raises(RuntimeError, match="killed"):
+            run_chain(train, None, state, cfg, out_dir=str(part),
+                      sample_sink=kill_at_4)
+        resumed = load_state(part / "checkpoint")
+        assert resumed.next_iteration == 3
+        run_chain(train, None, resumed, cfg, out_dir=str(part))
+
+        def rows(run):
+            lines = (tmp_path / run / "chain_log.tsv").read_text().splitlines()
+            return [line.split("\t")[:2] for line in lines[2:]]
+        assert rows("part") == rows("full")
+        assert [r[0] for r in rows("full")] == [str(i) for i in range(1, 7)]
 
     def test_chain_log_written(self, tmp_path):
         train, state = random_instance(3)
