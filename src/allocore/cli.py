@@ -10,6 +10,7 @@ worker pool used for fit sweeps over several Q values.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import shlex
 import sys
@@ -166,10 +167,36 @@ def cmd_mask(args, argv) -> int:
 # fit
 # ---------------------------------------------------------------------------
 
+def _mask_key(mask):
+    return None if mask is None else (mask.free_mode, mask.stems.tobytes())
+
+
+def _check_resume(out, init, params: dict, mask, hyper, K) -> None:
+    """Refuse to continue a chain under settings other than the ones its
+    checkpoint and manifest record; only --iters may change."""
+    man = _read_manifest(out)
+    stored_mask = load_mask(os.path.join(out, man["mask"])) if man.get("mask") else None
+    core_mode = MODE_WORDS[params["mode"]]
+    K = tuple(K or [params["Q"]] * init.M)
+    stored = {"data": man.get("data"), "mask": _mask_key(stored_mask),
+              "mode": init.core_mode, "Q": init.Q, "K": init.K, "seed": init.seed,
+              "burnin": man.get("burnin"), "thin": man.get("thin")}
+    wanted = {"data": os.path.abspath(params["data"]), "mask": _mask_key(mask),
+              "mode": core_mode,
+              "Q": math.prod(K) if core_mode == "tucker_dense" else params["Q"],
+              "K": K, "seed": params["seed"],
+              "burnin": str(params["burnin"]), "thin": str(params["thin"])}
+    for name in ("a0", "b0", "e0", "f0", "alpha0"):
+        stored[name], wanted[name] = getattr(init.hyper, name), getattr(hyper, name)
+    differ = [k for k in wanted if wanted[k] != stored[k]]
+    if differ:
+        raise ValueError(f"{out}: cannot resume with settings that differ from "
+                         f"the run's: {', '.join(differ)}")
+
+
 def _fit_single(params: dict) -> str:
     tensor = load_coo(params["data"])
     out = params["out"]
-    os.makedirs(out, exist_ok=True)
 
     mask = None
     if params["mask"] is not None:
@@ -177,14 +204,6 @@ def _fit_single(params: dict) -> str:
     elif params["mask_frac"] is not None:
         mask = make_fiber_mask(tensor, params["mask_mode"] - 1,
                                params["mask_frac"], params["mask_seed"])
-    mask_record = ""
-    if mask is not None:
-        mask_path = os.path.join(out, "mask.txt")
-        write_mask(mask, mask_path)
-        mask_record = "mask.txt"
-        train, _ = split(tensor, mask)
-    else:
-        train = tensor
 
     hyper = Hyperparameters(a0=params["a0"], b0=params["b0"],
                             e0=params["e0"], f0=params["f0"],
@@ -194,8 +213,10 @@ def _fit_single(params: dict) -> str:
     K = params["K"]
 
     resume_from = os.path.join(out, "checkpoint")
-    if params["resume"] and os.path.isdir(resume_from):
+    resuming = params["resume"] and os.path.isdir(resume_from)
+    if resuming:
         init = load_state(resume_from)
+        _check_resume(out, init, params, mask, hyper, K)
         seed_for_config = None
     else:
         if core_mode == "tucker_dense":
@@ -210,6 +231,15 @@ def _fit_single(params: dict) -> str:
             init = init_explicit(tensor.shape, K, Q, core_mode, hyper,
                                  params["seed"])
         seed_for_config = params["seed"]
+
+    os.makedirs(out, exist_ok=True)
+    mask_record = ""
+    train = tensor
+    if mask is not None:
+        mask_record = "mask.txt"
+        if not resuming:
+            write_mask(mask, os.path.join(out, mask_record))
+        train, _ = split(tensor, mask)
 
     config = ChainConfig(burn_in=params["burnin"], total=params["iters"],
                          thin=params["thin"], seed=seed_for_config)
@@ -289,6 +319,10 @@ def _existing_result_keys(path) -> set[str]:
     return keys
 
 
+def _run_key(run_dir) -> str:
+    return os.path.basename(os.path.normpath(run_dir))
+
+
 def _eval_run(run_dir) -> dict:
     if not os.path.exists(os.path.join(run_dir, "manifest.txt")):
         raise ValueError(f"{run_dir}: no manifest; not a fit output directory")
@@ -314,7 +348,7 @@ def _eval_run(run_dir) -> dict:
                 if len(parts) >= 2:
                     wall += float(parts[-1])
     return {
-        "run": os.path.basename(os.path.normpath(run_dir)),
+        "run": _run_key(run_dir),
         "dataset": os.path.basename(man["data"]),
         "mode": man.get("mode", "?"),
         "Q": man.get("Q", "?"),
@@ -345,11 +379,13 @@ def cmd_eval(args, argv) -> int:
         if new_file:
             f.write("\t".join(RESULT_COLUMNS) + "\n")
         for run_dir in runs:
-            row = _eval_run(run_dir)
-            if row["run"] in existing:
-                print(f"{row['run']}: already evaluated, skipping")
+            key = _run_key(run_dir)
+            if key in existing:
+                print(f"{key}: already evaluated, skipping")
                 continue
+            row = _eval_run(run_dir)
             f.write("\t".join(str(row[c]) for c in RESULT_COLUMNS) + "\n")
+            existing.add(key)
             appended += 1
             print(f"{row['run']}: ppd_full={row['ppd_full']} "
                   f"ppd_positive={row['ppd_positive']} "

@@ -62,38 +62,25 @@ FREEZABLE_BLOCKS = frozenset({"locations", "lambda", "phi", "pi"})
 @dataclass
 class LatentSources:
     """Per-class latent counts for every training non-zero, plus the
-    aggregates the conditionals consume.
+    aggregates the conditionals consume. A sweep's sources live only until
+    its blocks have run.
 
     ``per_cell[i, q]`` splits the i-th training count across classes;
     ``totals[q]`` sums it over cells; ``mode_marginals[m][d, q]`` sums it
-    over cells whose mode-m coordinate is d; ``factor_counts[m][d, k]``
-    further groups classes by their current mode-m sub-index and is kept
-    in sync as locations move.
+    over cells whose mode-m coordinate is d. They do not depend on the core
+    locations, so moving a location leaves them valid.
     """
 
     per_cell: np.ndarray
     totals: np.ndarray
     mode_marginals: list[np.ndarray]
-    factor_counts: list[np.ndarray]
-
-    def recompute_factor_counts(self, state: ModelState) -> list[np.ndarray]:
-        return [
-            _group_columns(self.mode_marginals[m], state.core_locations[:, m], k)
-            for m, k in enumerate(state.K)
-        ]
 
 
-def _group_columns(marginal: np.ndarray, keys: np.ndarray, k: int) -> np.ndarray:
-    """Sum the columns of ``marginal`` (D, Q) into (D, k) groups by key."""
-    out = np.zeros((marginal.shape[0], k), dtype=marginal.dtype)
-    np.add.at(out.T, keys, marginal.T)
-    return out
-
-
-def _accumulate_rows(idx: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """Sum rows of ``values`` (n, Q) into ``size`` bins given by ``idx``."""
-    out = np.zeros((size, values.shape[1]), dtype=values.dtype)
-    np.add.at(out, idx, values)
+def _scatter_add(keys: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
+    """out[keys[i]] += rows[i] over ``size`` bins, adding the rows in index
+    order; saved chains depend on that order for float rows bit for bit."""
+    out = np.zeros((size,) + rows.shape[1:], dtype=rows.dtype)
+    np.add.at(out, keys, rows)
     return out
 
 
@@ -107,28 +94,27 @@ def thin_counts(state: ModelState, train: SparseCountTensor,
     nnz, Q = train.nnz, state.Q
     per_cell = np.zeros((nnz, Q), dtype=np.int64)
     if nnz:
-        rates = cell_rates(state, train.coords)
-        suffix = np.cumsum(rates[:, ::-1], axis=1)[:, ::-1]
+        p = cell_rates(state, train.coords)
+        suffix = np.cumsum(p[:, ::-1], axis=1)[:, ::-1]
         if not np.isfinite(suffix[:, 0]).all() or (suffix[:, 0] <= 0).any():
             raise RuntimeError(
                 "thinning rates vanished or blew up; state positivity is broken")
+        # p[:, q] becomes rate_q / (rate_q + ... + rate_{Q-1}), in [0, 1]: a
+        # rounded sum of non-negative terms is never below one of them, and
+        # where a suffix underflowed to 0 its own rate is 0 and stays so.
+        np.divide(p, suffix, out=p, where=suffix > 0)
+        del suffix
         remaining = train.counts.copy()
         for q in range(Q - 1):
-            denom = suffix[:, q]
-            with np.errstate(invalid="ignore", divide="ignore"):
-                p = np.where(denom > 0, rates[:, q] / np.where(denom > 0, denom, 1.0), 0.0)
-            draw = rng.binomial(remaining, np.clip(p, 0.0, 1.0))
+            draw = rng.binomial(remaining, np.ascontiguousarray(p[:, q]))
             per_cell[:, q] = draw
             remaining -= draw
         per_cell[:, Q - 1] = remaining
 
-    totals = per_cell.sum(axis=0)
-    marginals = [_accumulate_rows(train.coords[:, m], per_cell, d)
-                 for m, d in enumerate(state.shape)]
-    sources = LatentSources(per_cell=per_cell, totals=totals,
-                            mode_marginals=marginals, factor_counts=[])
-    sources.factor_counts = sources.recompute_factor_counts(state)
-    return sources
+    return LatentSources(
+        per_cell=per_cell, totals=per_cell.sum(axis=0),
+        mode_marginals=[_scatter_add(train.coords[:, m], per_cell, d)
+                        for m, d in enumerate(state.shape)])
 
 
 class MaskCorrections:
@@ -211,8 +197,8 @@ class MaskCorrections:
         if not self.active:
             return np.zeros((self.shape[m], state.K[m]))
         w = self.mode_weights(state, np.arange(state.Q), m, colsums)
-        return _group_columns((state.core_values[:, None] * w).T,
-                              state.core_locations[:, m], state.K[m])
+        return _scatter_add(state.core_locations[:, m],
+                            state.core_values[:, None] * w, state.K[m]).T
 
 
 def _colsums(state: ModelState) -> list[np.ndarray]:
@@ -293,14 +279,16 @@ def phi_conditional_params(state: ModelState, sources: LatentSources,
                            corrections: MaskCorrections, m: int
                            ) -> tuple[np.ndarray, np.ndarray]:
     """Gamma (shape, rate) matrices for every entry of factor matrix m,
-    using the current values of the other modes' factors."""
+    using the current values of the other modes' factors. The shape counts
+    group the mode-m marginals by each class's current mode-m sub-index."""
     colsums = _colsums(state)
-    base = np.zeros(state.K[m])
-    np.add.at(base, state.core_locations[:, m], class_mass(state, colsums, skip=m))
+    keys = state.core_locations[:, m]
+    base = _scatter_add(keys, class_mass(state, colsums, skip=m), state.K[m])
     c = np.broadcast_to(base, (state.shape[m], state.K[m]))
     if corrections.active:
         c = np.maximum(c - corrections.phi_corrections(state, m, colsums), 0.0)
-    shape = state.hyper.e0 + sources.factor_counts[m]
+    counts = _scatter_add(keys, sources.mode_marginals[m].T, state.K[m]).T
+    shape = state.hyper.e0 + counts
     rate = state.hyper.f0 + c
     return shape, rate
 
@@ -362,18 +350,12 @@ def resample_location_subindex(state: ModelState, sources: LatentSources,
                                rng: np.random.Generator,
                                log_factors: np.ndarray | None = None,
                                colsums: list[np.ndarray] | None = None) -> int:
-    """Draw one sub-index from its complete conditional and move the
-    allocation there, updating the grouped source counts incrementally."""
+    """Draw one sub-index from its complete conditional and set the
+    allocation to it."""
     logw = location_log_weights(state, sources, corrections, q, m,
                                 log_factors, colsums)
     new_k = _draw_categorical_from_log(logw, rng)
-    old_k = int(state.core_locations[q, m])
-    if new_k != old_k:
-        state.core_locations[q, m] = new_k
-        if sources.factor_counts:
-            col = sources.mode_marginals[m][:, q]
-            sources.factor_counts[m][:, old_k] -= col
-            sources.factor_counts[m][:, new_k] += col
+    state.core_locations[q, m] = new_k
     return new_k
 
 
@@ -503,6 +485,9 @@ def run_chain(train: SparseCountTensor, mask: FiberMask | None,
                            substream(seed, it, PHI_BLOCK))
             if "pi" not in freeze:
                 sample_pi(state, substream(seed, it, PI_BLOCK))
+            # The log row's cell_rates and the next thinning each build an
+            # nnz x Q table; without this they would run beside per_cell.
+            del sources
             state.next_iteration = it + 1
             elapsed = time.perf_counter() - t0
 

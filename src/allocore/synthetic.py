@@ -122,6 +122,9 @@ def generate(config: SyntheticConfig,
 
     # Per class, the rank-1 rate tensor is sampled exactly by drawing the
     # Poisson event total, then placing each event independently per mode.
+    # The total multiplies the modes first and lambda last, not in
+    # gibbs.class_mass's order: it feeds rng.poisson, so reordering it would
+    # change every generated tensor and any input cached from one.
     colsums = [f.sum(axis=0) for f in factors]
     event_coords = []
     for q in range(Q):

@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,34 @@ class TestFit:
             for m in range(3):
                 assert np.array_equal(a.factors[m], b.factors[m])
 
+    def test_resume_refuses_changed_flags(self, synth_coo, tmp_path, capsys):
+        out = tmp_path / "run"
+        common = ["--data", synth_coo, "--Q", "3", "--thin", "1", "--burnin", "1",
+                  "--out", out]
+        assert run_cli("fit", *common, "--mask-frac", "0.01", "--mask-mode", "3",
+                       "--seed", "5", "--iters", "2") == 0
+        mask_before = (out / "mask.txt").read_bytes()
+        manifest_before = (out / "manifest.txt").read_text()
+        capsys.readouterr()
+        rc = run_cli("fit", *common, "--mask-frac", "0.05", "--mask-mode", "2",
+                     "--a0", "7", "--seed", "9", "--iters", "4", "--resume")
+        assert rc == 2
+        err = capsys.readouterr().err
+        for key in ("mask", "a0", "seed"):
+            assert key in err
+        assert "thin" not in err and "iters" not in err
+        assert (out / "mask.txt").read_bytes() == mask_before
+        assert (out / "manifest.txt").read_text() == manifest_before
+
+    def test_tucker_resume_accepts_its_own_flags(self, synth_coo, tmp_path):
+        # the checkpoint stores Q = prod(K) = 8, not --Q
+        common = ["--data", synth_coo, "--mode", "tucker", "--Q", "2",
+                  "--burnin", "0", "--thin", "1", "--seed", "2",
+                  "--out", tmp_path / "run"]
+        assert run_cli("fit", *common, "--iters", "1") == 0
+        assert run_cli("fit", *common, "--iters", "2", "--resume") == 0
+        assert (tmp_path / "run" / "samples" / "sample_0002").is_dir()
+
     def test_tucker_over_limit_refused(self, synth_coo, tmp_path, capsys):
         rc = run_cli("fit", "--data", synth_coo, "--mode", "tucker",
                      "--Q", "1", "--K", "200,200,100",
@@ -161,13 +191,22 @@ class TestEval:
         assert row["S"] == "2"
 
     def test_idempotent_append(self, fitted_run, tmp_path, capsys):
+        # an evaluated run is skipped before it is scored, so it needs no samples
         table = tmp_path / "results.tsv"
         run_cli("eval", "--runs", fitted_run, "--out", table)
         first = table.read_text()
+        shutil.rmtree(fitted_run / "samples")
         rc = run_cli("eval", "--runs", fitted_run, "--out", table)
         assert rc == 0
         assert table.read_text() == first
         assert "skipping" in capsys.readouterr().out
+
+    def test_run_named_twice_appends_one_row(self, fitted_run, tmp_path, capsys):
+        table = tmp_path / "results.tsv"
+        rc = run_cli("eval", "--runs", fitted_run, fitted_run, "--out", table)
+        assert rc == 0
+        assert len(table.read_text().splitlines()) == 2
+        assert "appended 1 row(s)" in capsys.readouterr().out
 
     def test_sweep_rows_sorted_by_q(self, synth_coo, tmp_path):
         masks = tmp_path / "masks"

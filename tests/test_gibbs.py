@@ -1,5 +1,6 @@
 import itertools
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from allocore.gibbs import (
 from allocore.state import (
     LOCATION_BLOCK,
     THIN_BLOCK,
+    TINY,
     Hyperparameters,
     cell_rates,
     init_canonical,
@@ -110,20 +112,37 @@ class TestThinning:
         train, state = random_instance(seed)
         src = thin_counts(state, train, substream(seed, 1, THIN_BLOCK))
         assert np.array_equal(src.per_cell.sum(axis=1), train.counts)
-        assert np.array_equal(src.factor_counts[0],
-                              src.recompute_factor_counts(state)[0])
+
+    def test_underflowed_last_rate_gets_no_sources(self):
+        # the last class sits on factor columns at TINY in both modes, so its
+        # rate TINY**2 underflows to 0 and so does its suffix sum
+        state = init_explicit((1, 1), (2, 2), 2, "allocore", seed=0)
+        state.core_locations[:] = [[0, 0], [1, 1]]
+        for m in range(2):
+            state.factors[m][:] = [[1.0, TINY]]
+        train = SparseCountTensor.from_entries((1, 1), {(0, 0): 6})
+        assert cell_rates(state, train.coords)[0, 1] == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            src = thin_counts(state, train, substream(0, 1, THIN_BLOCK))
+        assert np.array_equal(src.per_cell, [[6, 0]])
+        assert np.array_equal(src.totals, [6, 0])
 
 
 class TestAggregateConsistency:
-    def test_incremental_matches_recompute_after_location_sweeps(self):
+    def test_phi_shape_groups_sources_by_current_locations(self):
         train, state = random_instance(5, Q=6)
         corr = no_mask(train.shape)
         for it in range(1, 30):
             src = thin_counts(state, train, substream(9, it, THIN_BLOCK))
             sample_locations(state, src, corr, substream(9, it, LOCATION_BLOCK))
-            recomputed = src.recompute_factor_counts(state)
             for m in range(3):
-                assert np.array_equal(src.factor_counts[m], recomputed[m])
+                grouped = np.zeros((train.shape[m], state.K[m]))
+                for i, c in enumerate(train.coords):
+                    for q in range(state.Q):
+                        grouped[c[m], state.core_locations[q, m]] += src.per_cell[i, q]
+                shape, _ = phi_conditional_params(state, src, corr, m)
+                assert np.array_equal(shape, state.hyper.e0 + grouped)
             sample_lambda(state, src, corr, substream(9, it, 3))
             sample_phi(state, src, corr, substream(9, it, 4))
             sample_pi(state, substream(9, it, 5))

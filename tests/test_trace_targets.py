@@ -1,0 +1,58 @@
+"""The benchmark's traced run wraps allocore functions by name and reads
+``LatentSources.per_cell``; a refactor that drops either breaks
+``perfbench/run.py --trace 1``. This runs the same instrumentation on a
+one-sweep chain."""
+
+import os
+
+from allocore import gibbs, init_canonical, make_fiber_mask, split
+from allocore.synthetic import SyntheticConfig, generate
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+
+
+def test_traced_masked_sweep_records_every_layer(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import spans
+
+    X, _ = generate(SyntheticConfig(shape=(12, 10, 4), true_dims=(2, 2, 2),
+                                    true_budget=3, column_scale=5.0, seed=0))
+    mask = make_fiber_mask(X, 2, 0.1, 1)
+    train, _ = split(X, mask)
+    init = init_canonical(X.shape, 4, seed=1)
+    targets = spans.SETUP_TARGETS + spans.FIT_TARGETS + spans.EVAL_TARGETS
+    originals = {(mod, attr): _owner(mod).__dict__[attr]
+                 for mod, attr, *_ in targets}
+
+    recorder = spans.SpanRecorder()
+    undo = spans.instrument(recorder, targets)
+    try:
+        gibbs.run_chain(train, mask, init,
+                        gibbs.ChainConfig(burn_in=0, total=1, thin=1, seed=1),
+                        out_dir=str(tmp_path / "run"))
+    finally:
+        undo()
+
+    stats = spans.span_stats(recorder.spans)
+    for name in ("gibbs.run_chain", "gibbs.thin_counts", "gibbs.sample_locations",
+                 "gibbs.sample_lambda", "gibbs.sample_phi", "gibbs.sample_pi",
+                 "gibbs.proportional_train_loglik", "gibbs.mask.mode_weights",
+                 "gibbs.mask.masked_rate_totals", "gibbs.mask.phi_corrections",
+                 "state.save_state"):
+        assert stats[name]["calls"] >= 1, name
+    assert stats["state.cell_rates"]["calls"] == 2
+    assert recorder.counts["gibbs.thin_counts.draws"] == train.nnz * (init.Q - 1)
+    assert 0 < recorder.counts["gibbs.thin_counts.live"]
+    for (mod, attr), original in originals.items():
+        assert _owner(mod).__dict__[attr] is original
+
+
+def _owner(mod_name):
+    import allocore
+
+    owner = allocore
+    for part in mod_name.split("."):
+        owner = getattr(owner, part)
+    return owner
+
