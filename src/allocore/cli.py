@@ -3,8 +3,9 @@
 Every command writes a manifest into its output directory recording the
 exact invocation, one key=value per line (a newline in a value is written
 as backslash-n). Mode indices and coordinates are 1-based on the command
-line and in all files. The environment variable ALLOCORE_THREADS bounds the
-worker pool used for fit sweeps over several Q values.
+line and in all files. The environment variable ALLOCORE_THREADS, a positive
+integer (default 1), bounds the worker pool used for fit sweeps over several
+Q values.
 """
 
 from __future__ import annotations
@@ -60,10 +61,14 @@ RESULT_COLUMNS = ("run", "dataset", "mode", "Q", "K", "seed", "S",
 
 
 def _threads() -> int:
+    text = os.environ.get("ALLOCORE_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("ALLOCORE_THREADS", "1")))
+        n = int(text)
     except ValueError:
-        return 1
+        n = 0
+    if n < 1:
+        raise ValueError(f"ALLOCORE_THREADS must be a positive integer, got {text!r}")
+    return n
 
 
 def _write_manifest(out_dir, command: str, argv: list[str], extra: dict) -> None:

@@ -142,10 +142,9 @@ def classes_for_mass_share(state: ModelState, share: float) -> int:
 
 def export_classes(state: ModelState, out_dir, n: int,
                    display_threshold: float = 0.02,
-                   vocabularies: list[list[str]] | None = None,
-                   include_full_columns: bool = True) -> list[ClassSummary]:
-    """Write an index file (rank, location, value, cumulative share) plus one
-    file per class with (mode, entity, weight) rows; optionally also the full
+                   vocabularies: list[list[str]] | None = None) -> list[ClassSummary]:
+    """Write an index file (rank, location, value, cumulative share) plus, per
+    class, one file of (mode, entity, weight) rows and one of its full
     unnormalized factor columns for downstream use. Locations and entity
     indices are 1-based in the files."""
     classes = top_classes(state, n, display_threshold)
@@ -165,14 +164,13 @@ def export_classes(state: ModelState, out_dir, n: int,
                 for d, w in kept:
                     label = (vocabularies[m][d] if vocabularies else str(d + 1))
                     f.write(f"{m + 1}\t{label}\t{w:.6f}\n")
-        if include_full_columns:
-            with open(os.path.join(out_dir, f"class_{rank:03d}_columns.tsv"), "w") as f:
-                f.write("mode\tentity\tvalue\n")
-                for m, k in enumerate(cls.location):
-                    col = state.factors[m][:, k]
-                    for d in range(col.shape[0]):
-                        label = (vocabularies[m][d] if vocabularies else str(d + 1))
-                        f.write(f"{m + 1}\t{label}\t{col[d]:.8g}\n")
+        with open(os.path.join(out_dir, f"class_{rank:03d}_columns.tsv"), "w") as f:
+            f.write("mode\tentity\tvalue\n")
+            for m, k in enumerate(cls.location):
+                col = state.factors[m][:, k]
+                for d in range(col.shape[0]):
+                    label = (vocabularies[m][d] if vocabularies else str(d + 1))
+                    f.write(f"{m + 1}\t{label}\t{col[d]:.8g}\n")
     return classes
 
 

@@ -1,12 +1,12 @@
 """Gibbs sampling for the sparse-core Poisson Tucker model.
 
 One sweep runs, in fixed order: multinomial thinning of the observed counts
-into per-class latent sources, categorical resampling of each core-location
-sub-index, then conjugate gamma/gamma/Dirichlet updates for the core values,
-factor entries, and location priors. Held-out fibers are treated as missing
-at random: every rate sum over observed cells is computed as the full
-product-of-column-sums minus a per-fiber correction, never by enumerating
-cells.
+into per-class latent sources, categorical resampling of the core locations
+(one mode at a time, all classes at once), then conjugate gamma/gamma/
+Dirichlet updates for the core values, factor entries, and location priors.
+Held-out fibers are treated as missing at random: every rate sum over
+observed cells is computed as the full product-of-column-sums minus a
+per-fiber correction, never by enumerating cells.
 
 Per-block randomness comes from counter-style substreams keyed by
 (seed, iteration, block), so chains are reproducible and resumable.
@@ -42,7 +42,6 @@ __all__ = [
     "PosteriorSamples",
     "thin_counts",
     "sample_locations",
-    "resample_location_subindex",
     "location_log_weights",
     "sample_lambda",
     "lambda_conditional_params",
@@ -55,9 +54,6 @@ __all__ = [
     "observed_rate_total",
     "class_mass",
 ]
-
-FREEZABLE_BLOCKS = frozenset({"locations", "lambda", "phi", "pi"})
-
 
 @dataclass
 class LatentSources:
@@ -126,12 +122,10 @@ class MaskCorrections:
     with no mask all corrections are identically zero and the samplers skip
     the subtraction entirely.
 
-    Every method takes the same floating-point steps, in the same order, for
-    one q or for an array of them, so chains do not depend on which form a
-    caller uses. Stem products multiply the modes before the one left out
-    from left to right and the modes after it from right to left, then the
-    two parts; sums over stems run along the last axis of a C-ordered
-    (Q, S) array, which adds in the same order as a 1-D sum per q.
+    Every method covers all q at once. Stem products multiply the modes
+    before the one left out from left to right and the modes after it from
+    right to left, then the two parts; sums over stems run along the last
+    axis of a C-ordered (Q, S) array, so each q's row adds in stem order.
     """
 
     def __init__(self, mask: FiberMask | None, shape: tuple[int, ...]):
@@ -147,19 +141,18 @@ class MaskCorrections:
         self.stem_modes = [m for m in range(M) if m != mask.free_mode]
         self.stems = mask.stems
 
-    def _stem_product(self, state: ModelState, q, skip: int = -1) -> np.ndarray:
-        """Product over the stem modes other than ``skip`` of each stem's
-        factor values at q's sub-indices: (S,) for one q, (len(q), S) for
-        an array of them."""
-        kappa = state.core_locations[q]
+    def _stem_product(self, state: ModelState, skip: int = -1) -> np.ndarray:
+        """(Q, S): product over the stem modes other than ``skip`` of each
+        stem's factor values at each q's sub-indices."""
+        kappa = state.core_locations
 
         def column(j):
             m = self.stem_modes[j]
-            return state.factors[m][self.stems[:, j], kappa[..., m, None]]
+            return state.factors[m][self.stems[:, j], kappa[:, m, None]]
 
         J = len(self.stem_modes)
         cut = self.stem_modes.index(skip) if skip in self.stem_modes else J
-        prefix = np.ones(np.shape(q) + (len(self.stems),))
+        prefix = np.ones((state.Q, len(self.stems)))
         suffix = np.ones_like(prefix)
         for j in range(cut):
             prefix *= column(j)
@@ -174,29 +167,27 @@ class MaskCorrections:
         if not self.active:
             return np.zeros(state.Q)
         s_free = colsums[self.free_mode][state.core_locations[:, self.free_mode]]
-        return self._stem_product(state, np.arange(state.Q)).sum(axis=1) * s_free
+        return self._stem_product(state).sum(axis=1) * s_free
 
-    def mode_weights(self, state: ModelState, q, m: int,
+    def mode_weights(self, state: ModelState, m: int,
                      colsums: list[np.ndarray]) -> np.ndarray:
-        """w[d] = sum over masked cells with mode-m coordinate d of the
-        product of q's factor values over the other modes. ``q`` is one
-        index, giving (D_m,), or an array of them, giving (len(q), D_m)."""
-        D = self.shape[m]
+        """(Q, D_m): w[q, d] = sum over masked cells with mode-m coordinate d
+        of the product of q's factor values over the other modes."""
+        Q, D = state.Q, self.shape[m]
         if m == self.free_mode:
-            total = self._stem_product(state, q).sum(axis=-1)
-            return np.full(np.shape(q) + (D,), total[..., None])
-        rows = np.arange(np.size(q)).reshape(np.shape(q) + (1,))
-        keys = rows * D + self.stems[:, self.stem_modes.index(m)]
-        u = np.bincount(keys.ravel(), weights=self._stem_product(state, q, m).ravel(),
-                        minlength=np.size(q) * D).reshape(np.shape(q) + (D,))
-        return u * colsums[self.free_mode][state.core_locations[q, self.free_mode, None]]
+            total = self._stem_product(state).sum(axis=1)
+            return np.full((Q, D), total[:, None])
+        keys = np.arange(Q)[:, None] * D + self.stems[:, self.stem_modes.index(m)]
+        u = np.bincount(keys.ravel(), weights=self._stem_product(state, m).ravel(),
+                        minlength=Q * D).reshape(Q, D)
+        return u * colsums[self.free_mode][state.core_locations[:, self.free_mode, None]]
 
     def phi_corrections(self, state: ModelState, m: int,
                         colsums: list[np.ndarray]) -> np.ndarray:
         """(D_m, K_m) correction matrix for the factor-entry rate sums."""
         if not self.active:
             return np.zeros((self.shape[m], state.K[m]))
-        w = self.mode_weights(state, np.arange(state.Q), m, colsums)
+        w = self.mode_weights(state, m, colsums)
         return _scatter_add(state.core_locations[:, m],
                             state.core_values[:, None] * w, state.K[m]).T
 
@@ -206,17 +197,18 @@ def _colsums(state: ModelState) -> list[np.ndarray]:
 
 
 def class_mass(state: ModelState, colsums: list[np.ndarray], values=None,
-               q=slice(None), skip: int = -1):
-    """values * prod over modes m != skip of colsums[m][kappa[q, m]]: the
-    rate of core entries q summed over every cell, optionally leaving mode
-    ``skip`` out. ``values`` defaults to the core values at q. The product
-    runs values first, then the modes in ascending order; saved states and
-    logged log-likelihoods depend on that order bit for bit."""
-    kappa = state.core_locations[q]
-    out = state.core_values[q] if values is None else values
+               skip: int = -1) -> np.ndarray:
+    """(Q,): values * prod over modes m != skip of colsums[m][kappa[:, m]],
+    the rate of each core entry summed over every cell, optionally leaving
+    mode ``skip`` out. ``values``, a scalar or one per q, defaults to the
+    core values. The product runs values first, then the modes in ascending
+    order; saved states and logged log-likelihoods depend on that order bit
+    for bit."""
+    kappa = state.core_locations
+    out = state.core_values if values is None else values
     for m, colsum in enumerate(colsums):
         if m != skip:
-            out = out * colsum[kappa[..., m]]
+            out = out * colsum[kappa[:, m]]
     return out
 
 
@@ -313,65 +305,58 @@ def sample_pi(state: ModelState, rng: np.random.Generator) -> None:
 
 
 def location_log_weights(state: ModelState, sources: LatentSources,
-                         corrections: MaskCorrections, q: int, m: int,
-                         log_factors: np.ndarray | None = None,
+                         corrections: MaskCorrections, m: int,
                          colsums: list[np.ndarray] | None = None) -> np.ndarray:
-    """Unnormalized log conditional over the K_m candidates for one
-    sub-index: log prior + sum_d y_marg[d] log phi[d, k] - rate sum."""
+    """(Q, K_m) unnormalized log conditionals of every q's mode-m sub-index:
+    log prior + sum_d y_marg[d, q] log phi[d, k] - rate sum. The data term
+    and the mask term's factor product are one vector-matrix product per q,
+    so each row adds in the same order whatever Q is."""
     if colsums is None:
         colsums = _colsums(state)
-    if log_factors is None:
-        log_factors = np.log(state.factors[m])
-    marg = sources.mode_marginals[m][:, q]
-    nz = np.flatnonzero(marg)
-    data_term = (marg[nz].astype(np.float64) @ log_factors[nz, :]
-                 if nz.size else np.zeros(state.K[m]))
-    rate_term = class_mass(state, colsums, q=q, skip=m) * colsums[m]
+    factors = state.factors[m]
+    log_factors = np.log(factors)
+    data_term = np.zeros((state.Q, factors.shape[1]))
+    for q, marg in enumerate(sources.mode_marginals[m].T):
+        nz = np.flatnonzero(marg)
+        if nz.size:
+            data_term[q] = marg[nz].astype(np.float64) @ log_factors[nz]
+    rate_term = class_mass(state, colsums, skip=m)[:, None] * colsums[m]
     if corrections.active:
-        w = corrections.mode_weights(state, q, m, colsums)
-        rate_term = np.maximum(rate_term - state.core_values[q] * (w @ state.factors[m]),
-                               0.0)
+        w = corrections.mode_weights(state, m, colsums)
+        masked = np.array([row @ factors for row in w])
+        rate_term = np.maximum(rate_term - state.core_values[:, None] * masked, 0.0)
     with np.errstate(divide="ignore"):
         log_prior = np.log(state.mode_priors[m])
     return log_prior + data_term - rate_term
 
 
-def _draw_categorical_from_log(logw: np.ndarray, rng: np.random.Generator) -> int:
-    if np.all(np.isneginf(logw)):
-        raise RuntimeError("all location candidates carry zero probability")
-    w = np.exp(logw - logw.max())
-    p = w / w.sum()
-    return int(min(np.searchsorted(np.cumsum(p), rng.random(), side="right"),
-                   len(p) - 1))
-
-
-def resample_location_subindex(state: ModelState, sources: LatentSources,
-                               corrections: MaskCorrections, q: int, m: int,
-                               rng: np.random.Generator,
-                               log_factors: np.ndarray | None = None,
-                               colsums: list[np.ndarray] | None = None) -> int:
-    """Draw one sub-index from its complete conditional and set the
-    allocation to it."""
-    logw = location_log_weights(state, sources, corrections, q, m,
-                                log_factors, colsums)
-    new_k = _draw_categorical_from_log(logw, rng)
-    state.core_locations[q, m] = new_k
-    return new_k
-
-
 def sample_locations(state: ModelState, sources: LatentSources,
                      corrections: MaskCorrections,
                      rng: np.random.Generator) -> None:
-    """One full sweep over (q, m) sub-indices. Skipped entirely (consuming
-    no randomness) when locations are pinned by the core mode."""
+    """Resample every core location from its complete conditional, one mode
+    at a time for all q at once. Skipped entirely (consuming no randomness)
+    when locations are pinned by the core mode.
+
+    Given the sources, factors and priors, the conditional of kappa[q, m]
+    reads only q's own row: its value, its other sub-indices and its mode-m
+    marginal. So different q are independent, and at step m each q sees its
+    new sub-indices below m and its old ones above, as in a q-by-q sweep.
+    The uniforms are drawn up front in q-major order, u[q, m] being the
+    (q * M + m)-th, which is the order a q-by-q sweep draws them in."""
     if state.core_mode != "allocore":
         return
     colsums = _colsums(state)
-    log_factors = [np.log(f) for f in state.factors]
-    for q in range(state.Q):
-        for m in range(state.M):
-            resample_location_subindex(state, sources, corrections, q, m, rng,
-                                       log_factors[m], colsums)
+    u = rng.random(state.Q * state.M).reshape(state.Q, state.M)
+    for m in range(state.M):
+        logw = location_log_weights(state, sources, corrections, m, colsums)
+        top = logw.max(axis=1, keepdims=True)
+        if (top == -np.inf).any():
+            raise RuntimeError("all location candidates carry zero probability")
+        w = np.exp(logw - top)
+        cum = np.cumsum(w / w.sum(axis=1, keepdims=True), axis=1)
+        # cum is non-decreasing, so the count is searchsorted(side="right")
+        state.core_locations[:, m] = np.minimum((cum <= u[:, m, None]).sum(axis=1),
+                                                logw.shape[1] - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -381,26 +366,19 @@ def sample_locations(state: ModelState, sources: LatentSources,
 @dataclass(frozen=True)
 class ChainConfig:
     """burn_in sweeps are discarded, then ``total`` more run with every
-    ``thin``-th state saved (thin must divide total). ``freeze`` names
-    parameter blocks to hold fixed for diagnostics; location updates are
-    additionally skipped automatically outside allocore mode."""
+    ``thin``-th state saved (thin must divide total). Every sweep runs all
+    blocks; the location block does nothing outside allocore mode."""
 
     burn_in: int = 1000
     total: int = 4000
     thin: int = 20
     seed: int | None = None
-    freeze: frozenset = frozenset()
-    log_every: int = 1
 
     def __post_init__(self):
         if self.burn_in < 0:
             raise ValueError("burn_in must be non-negative")
         if self.total < 1 or self.thin < 1 or self.total % self.thin != 0:
             raise ValueError("thin must divide total")
-        bad = set(self.freeze) - FREEZABLE_BLOCKS
-        if bad:
-            raise ValueError(f"cannot freeze unknown blocks {sorted(bad)}")
-        object.__setattr__(self, "freeze", frozenset(self.freeze))
 
     @property
     def n_samples(self) -> int:
@@ -445,7 +423,6 @@ def run_chain(train: SparseCountTensor, mask: FiberMask | None,
         state.seed = int(config.seed)
     seed = state.seed
     corrections = MaskCorrections(mask, train.shape)
-    freeze = config.freeze
     last_iter = config.burn_in + config.total
     first_iter = state.next_iteration
 
@@ -474,25 +451,19 @@ def run_chain(train: SparseCountTensor, mask: FiberMask | None,
         for it in range(first_iter, last_iter + 1):
             t0 = time.perf_counter()
             sources = thin_counts(state, train, substream(seed, it, THIN_BLOCK))
-            if "locations" not in freeze:
-                sample_locations(state, sources, corrections,
-                                 substream(seed, it, LOCATION_BLOCK))
-            if "lambda" not in freeze:
-                sample_lambda(state, sources, corrections,
-                              substream(seed, it, LAMBDA_BLOCK))
-            if "phi" not in freeze:
-                sample_phi(state, sources, corrections,
-                           substream(seed, it, PHI_BLOCK))
-            if "pi" not in freeze:
-                sample_pi(state, substream(seed, it, PI_BLOCK))
+            sample_locations(state, sources, corrections,
+                             substream(seed, it, LOCATION_BLOCK))
+            sample_lambda(state, sources, corrections,
+                          substream(seed, it, LAMBDA_BLOCK))
+            sample_phi(state, sources, corrections, substream(seed, it, PHI_BLOCK))
+            sample_pi(state, substream(seed, it, PI_BLOCK))
             # The log row's cell_rates and the next thinning each build an
             # nnz x Q table; without this they would run beside per_cell.
             del sources
             state.next_iteration = it + 1
             elapsed = time.perf_counter() - t0
 
-            if log_file is not None and config.log_every and (
-                    it % config.log_every == 0 or it == last_iter):
+            if log_file is not None:
                 ll = proportional_train_loglik(state, train, corrections)
                 q_eff, k_eff = effective_dims(state)
                 row = [str(it), f"{ll:.6f}", str(q_eff)]

@@ -152,6 +152,32 @@ class TestFit:
         err = capsys.readouterr().err
         assert "4000000" in err and "1000000" in err
 
+    def test_bad_thread_count_refused(self, synth_coo, tmp_path, capsys,
+                                      monkeypatch):
+        for bad in ("abc", "0", "-3"):
+            monkeypatch.setenv("ALLOCORE_THREADS", bad)
+            rc = run_cli("fit", "--data", synth_coo, "--Q", "2,3", "--burnin", "0",
+                         "--iters", "1", "--thin", "1", "--out", tmp_path / "sweep")
+            assert rc == 2
+            assert "ALLOCORE_THREADS" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
+    def test_sweep_in_worker_processes_matches_serial(self, synth_coo, tmp_path,
+                                                      monkeypatch):
+        common = ["--data", synth_coo, "--Q", "2,3", "--burnin", "1",
+                  "--iters", "2", "--thin", "2", "--seed", "4"]
+        monkeypatch.setenv("ALLOCORE_THREADS", "2")
+        assert run_cli("fit", *common, "--out", tmp_path / "pool") == 0
+        monkeypatch.setenv("ALLOCORE_THREADS", "1")
+        assert run_cli("fit", *common, "--out", tmp_path / "serial") == 0
+        for run in ("Q0002", "Q0003"):
+            a = load_state(tmp_path / "pool" / run / "samples" / "sample_0001")
+            b = load_state(tmp_path / "serial" / run / "samples" / "sample_0001")
+            assert np.array_equal(a.core_values, b.core_values)
+            assert np.array_equal(a.core_locations, b.core_locations)
+            for m in range(3):
+                assert np.array_equal(a.factors[m], b.factors[m])
+
     def test_cp_mode_locks_diagonal(self, synth_coo, tmp_path):
         out = tmp_path / "cp"
         rc = run_cli("fit", "--data", synth_coo, "--mode", "cp", "--Q", "3",

@@ -16,7 +16,6 @@ from allocore.gibbs import (
     phi_conditional_params,
     pi_conditional_alphas,
     proportional_train_loglik,
-    resample_location_subindex,
     run_chain,
     sample_lambda,
     sample_locations,
@@ -25,7 +24,10 @@ from allocore.gibbs import (
     thin_counts,
 )
 from allocore.state import (
+    LAMBDA_BLOCK,
     LOCATION_BLOCK,
+    PHI_BLOCK,
+    PI_BLOCK,
     THIN_BLOCK,
     TINY,
     Hyperparameters,
@@ -248,8 +250,8 @@ class TestLocationConditional:
         src = thin_counts(state, train, substream(0, 1, THIN_BLOCK))
         rng = np.random.default_rng(0)
         for _ in range(50):
-            k = resample_location_subindex(state, src, no_mask((3, 3)), 0, 0, rng)
-            assert k == 0
+            sample_locations(state, src, no_mask((3, 3)), rng)
+            assert (state.core_locations == 0).all()
 
     def test_symmetric_state_uniform(self):
         # identical factor columns, uniform prior, no sources: uniform draw
@@ -263,9 +265,10 @@ class TestLocationConditional:
         rng = np.random.default_rng(13)
         n = 50_000
         hits = np.zeros(4)
+        corr = no_mask((3, 3))
         for _ in range(n):
-            hits[resample_location_subindex(state, src, no_mask((3, 3)),
-                                            0, 0, rng)] += 1
+            sample_locations(state, src, corr, rng)
+            hits[state.core_locations[0, 0]] += 1
         se = np.sqrt(0.25 * 0.75 / n)
         assert (np.abs(hits / n - 0.25) < 3.5 * se).all()
 
@@ -275,7 +278,7 @@ class TestLocationConditional:
         corr = no_mask(train.shape)
         for q in range(3):
             for m in range(3):
-                logw = location_log_weights(state, src, corr, q, m)
+                logw = location_log_weights(state, src, corr, m)[q]
                 lam = state.core_values[q]
                 c = lam
                 for mm in range(3):
@@ -288,6 +291,50 @@ class TestLocationConditional:
                     rate = c * state.factors[m][:, k].sum()
                     want = np.log(state.mode_priors[m][k]) + data - rate
                     assert logw[k] == pytest.approx(want, rel=1e-10)
+
+
+def q_major_location_sweep(state, sources, corrections, rng):
+    """Reference location sweep, q by q and within q mode by mode: each
+    sub-index reads its conditional from the current state and draws one
+    uniform, normalised and searched as a single categorical."""
+    for q in range(state.Q):
+        for m in range(state.M):
+            logw = location_log_weights(state, sources, corrections, m)[q]
+            w = np.exp(logw - logw.max())
+            p = w / w.sum()
+            k = np.searchsorted(np.cumsum(p), rng.random(), side="right")
+            state.core_locations[q, m] = min(k, len(p) - 1)
+
+
+class TestLocationSweepOrder:
+    @pytest.mark.parametrize("shape", [(6, 5, 4), (5, 4, 3, 4)])
+    def test_all_q_sweep_equals_q_major_reference(self, shape):
+        M = len(shape)
+        rng = np.random.default_rng(M)
+        cells = np.unique(rng.integers(0, shape, size=(60, M)), axis=0)
+        tensor = SparseCountTensor(shape, cells, rng.integers(1, 9, len(cells)))
+        moves = 0
+        for free_mode in range(M):
+            others = [d for m, d in enumerate(shape) if m != free_mode]
+            stems = np.unique(rng.integers(0, others, size=(4, M - 1)), axis=0)
+            mask = FiberMask(free_mode=free_mode, stems=stems)
+            train, _ = split(tensor, mask)
+            corr = MaskCorrections(mask, shape)
+            assert corr.active
+            state = init_explicit(shape, (3, 4, 3, 2)[:M], 6, "allocore",
+                                  Hyperparameters(f0=1.0), seed=free_mode)
+            for it in range(1, 6):
+                src = thin_counts(state, train, substream(M, it, THIN_BLOCK))
+                ref = state.snapshot()
+                q_major_location_sweep(ref, src, corr, substream(M, it, LOCATION_BLOCK))
+                before = state.core_locations.copy()
+                sample_locations(state, src, corr, substream(M, it, LOCATION_BLOCK))
+                assert np.array_equal(state.core_locations, ref.core_locations)
+                moves += np.count_nonzero(state.core_locations != before)
+                sample_lambda(state, src, corr, substream(M, it, LAMBDA_BLOCK))
+                sample_phi(state, src, corr, substream(M, it, PHI_BLOCK))
+                sample_pi(state, substream(M, it, PI_BLOCK))
+        assert moves > 0
 
 
 class TestMaskCorrections:
@@ -348,7 +395,7 @@ class TestMaskCorrections:
         # location conditionals
         for q in range(state.Q):
             for m in range(3):
-                logw = location_log_weights(state, src, corr, q, m)
+                logw = location_log_weights(state, src, corr, m)[q]
                 for k in range(state.K[m]):
                     rate_term = 0.0
                     data = 0.0
@@ -389,17 +436,15 @@ class TestMaskCorrections:
             stems = np.unique(rng.integers(0, others, size=(12, M - 1)), axis=0)
             corr = MaskCorrections(FiberMask(free_mode=free_mode, stems=stems), shape)
             s_free = colsums[free_mode][state.core_locations[:, free_mode]]
-            totals = [corr.mode_weights(state, q, free_mode, colsums)[0] * s_free[q]
-                      for q in range(Q)]
+            w_free = corr.mode_weights(state, free_mode, colsums)
+            totals = [w_free[q, 0] * s_free[q] for q in range(Q)]
             assert np.array_equal(corr.masked_rate_totals(state, colsums), totals)
             for m in range(M):
-                all_q = corr.mode_weights(state, np.arange(Q), m, colsums)
-                assert all_q.shape == (Q, shape[m])
+                w = corr.mode_weights(state, m, colsums)
+                assert w.shape == (Q, shape[m])
                 loop = np.zeros((shape[m], 2))
                 for q in range(Q):
-                    one = corr.mode_weights(state, q, m, colsums)
-                    assert np.array_equal(all_q[q], one)
-                    loop[:, state.core_locations[q, m]] += state.core_values[q] * one
+                    loop[:, state.core_locations[q, m]] += state.core_values[q] * w[q]
                 assert np.array_equal(corr.phi_corrections(state, m, colsums), loop)
 
 
@@ -413,22 +458,18 @@ class TestChainConfig:
         with pytest.raises(ValueError):
             ChainConfig(total=10, thin=3)
 
-    def test_freeze_validation(self):
-        with pytest.raises(ValueError):
-            ChainConfig(freeze=frozenset({"bogus"}))
-
 
 class TestRunChain:
     def test_sample_count(self):
         train, state = random_instance(3)
-        cfg = ChainConfig(burn_in=0, total=40, thin=20, log_every=0)
+        cfg = ChainConfig(burn_in=0, total=40, thin=20)
         post = run_chain(train, None, state, cfg)
         assert post.S == 2
         assert post.iterations == [20, 40]
 
     def test_determinism(self):
         train, state = random_instance(3)
-        cfg = ChainConfig(burn_in=2, total=4, thin=2, log_every=0)
+        cfg = ChainConfig(burn_in=2, total=4, thin=2)
         a = run_chain(train, None, state, cfg)
         b = run_chain(train, None, state, cfg)
         for sa, sb in zip(a.samples, b.samples):
@@ -441,11 +482,11 @@ class TestRunChain:
         train, state = random_instance(3)
         full_dir = tmp_path / "full"
         part_dir = tmp_path / "part"
-        full_cfg = ChainConfig(burn_in=2, total=4, thin=1, log_every=0)
+        full_cfg = ChainConfig(burn_in=2, total=4, thin=1)
         run_chain(train, None, state, full_cfg, out_dir=str(full_dir))
 
         run_chain(train, None, state,
-                  ChainConfig(burn_in=2, total=2, thin=1, log_every=0),
+                  ChainConfig(burn_in=2, total=2, thin=1),
                   out_dir=str(part_dir))
         resumed = load_state(part_dir / "checkpoint")
         run_chain(train, None, resumed, full_cfg, out_dir=str(part_dir))
@@ -507,22 +548,10 @@ class TestRunChain:
                       ChainConfig(burn_in=0, total=1, thin=1),
                       out_dir=str(blocker / "run"))
 
-    def test_frozen_blocks_stay_fixed(self):
-        train, state = random_instance(3)
-        cfg = ChainConfig(burn_in=0, total=2, thin=2, log_every=0,
-                          freeze=frozenset({"phi", "pi", "locations"}))
-        post = run_chain(train, None, state, cfg)
-        final = post.samples[-1]
-        for m in range(3):
-            assert np.array_equal(final.factors[m], state.factors[m])
-            assert np.array_equal(final.mode_priors[m], state.mode_priors[m])
-        assert np.array_equal(final.core_locations, state.core_locations)
-        assert not np.array_equal(final.core_values, state.core_values)
-
     def test_locked_modes_skip_location_updates(self):
         train, _ = random_instance(3)
         state = init_canonical(train.shape, 3, seed=5, core_mode="cp_locked")
-        cfg = ChainConfig(burn_in=0, total=3, thin=3, log_every=0)
+        cfg = ChainConfig(burn_in=0, total=3, thin=3)
         post = run_chain(train, None, state, cfg)
         assert np.array_equal(post.samples[-1].core_locations,
                               state.core_locations)
@@ -538,7 +567,7 @@ class TestScaling:
 
         def per_iter(q):
             init = init_canonical(shape, q, seed=1)
-            cfg = ChainConfig(burn_in=0, total=5, thin=5, log_every=0)
+            cfg = ChainConfig(burn_in=0, total=5, thin=5)
             best = float("inf")
             for _ in range(3):
                 t0 = time.perf_counter()
@@ -559,7 +588,7 @@ class TestScaling:
         state = init_explicit(shape, (50, 50, 50, 50), 20, "allocore", seed=2)
         t0 = time.perf_counter()
         run_chain(train, None, state,
-                  ChainConfig(burn_in=0, total=1, thin=1, log_every=0))
+                  ChainConfig(burn_in=0, total=1, thin=1))
         assert time.perf_counter() - t0 < 1.0
 
     def test_dense_mode_rejected_at_same_scale(self):

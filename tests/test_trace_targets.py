@@ -42,6 +42,8 @@ def test_traced_masked_sweep_records_every_layer(tmp_path, monkeypatch):
                  "state.save_state"):
         assert stats[name]["calls"] >= 1, name
     assert stats["state.cell_rates"]["calls"] == 2
+    # one all-q call per mode for the locations and one per mode for phi
+    assert stats["gibbs.mask.mode_weights"]["calls"] == 2 * X.ndim
     assert recorder.counts["gibbs.thin_counts.draws"] == train.nnz * (init.Q - 1)
     assert 0 < recorder.counts["gibbs.thin_counts.live"]
     for (mod, attr), original in originals.items():
