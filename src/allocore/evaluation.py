@@ -3,6 +3,15 @@
 The pointwise predictive density averages each heldout cell's Poisson mass
 over the saved posterior states in probability space (via log-sum-exp), then
 takes the geometric mean over cells.
+
+The log masses are streamed over blocks of about a megabyte of rates, so no
+(n_cells, Q) or (S, n_cells) table is ever held. A heldout set written by
+``split`` carries its fiber layout: all cells of a fiber share their stem, so
+a block of stems is scored from each sample's class tables as a (stems,
+D_free, Q) product, the stem rows times the whole free-mode table. A set
+without a layout (such as ``HeldoutSet.positive()``) is scored cell by cell
+through ``reconstruct_cells``. Both give the same bits as scoring every cell
+on its own with one log-sum-exp over all cells.
 """
 
 from __future__ import annotations
@@ -16,7 +25,8 @@ import numpy as np
 from scipy.special import gammaln, logsumexp, xlogy
 
 from .gibbs import MaskCorrections, PosteriorSamples, proportional_train_loglik
-from .state import ModelState, load_state, reconstruct_cells
+from .state import (ModelState, class_tables, load_state, rate_product,
+                    reconstruct_cells)
 from .tensors import FiberMask, HeldoutSet, SparseCountTensor
 
 __all__ = [
@@ -41,12 +51,63 @@ def poisson_logpmf(counts: np.ndarray, rates: np.ndarray) -> np.ndarray:
     return xlogy(counts, rates) - rates - gammaln(counts + 1.0)
 
 
+# Bytes of one sample's rate block: big enough that NumPy's per-call cost
+# vanishes, small enough that the block stays in cache.
+_BLOCK_BYTES = 1 << 20
+
+
+def _blocks(n_units: int, unit_cells: int, Q: int):
+    """(lo, hi) ranges of units (cells or fibers of ``unit_cells`` cells)
+    holding about ``_BLOCK_BYTES`` of rates each. No block is a single cell
+    unless the set is: logsumexp sums the samples of several columns row by
+    row but those of one column pairwise, which changes the bits from
+    S = 9 on."""
+    step = max(_BLOCK_BYTES // (8 * Q * unit_cells), 2 if unit_cells == 1 else 1)
+    edges = list(range(0, n_units, step)) + [n_units]
+    if len(edges) > 2 and (edges[-1] - edges[-2]) * unit_cells == 1:
+        del edges[-2]
+    return zip(edges[:-1], edges[1:])
+
+
+def _fiber_yhats(samples: PosteriorSamples, layout: FiberMask):
+    """For a block of stems, the (S, cells) rates at the block's cells in
+    stem-major order: per sample the class-table rows of the stems times the
+    whole free-mode table, a (stems, D_free, Q) product summed over q."""
+    tables = [class_tables(state) for state in samples.samples]
+    M = layout.stems.shape[1] + 1
+    stem_modes = [m for m in range(M) if m != layout.free_mode]
+
+    def block_yhats(lo: int, hi: int):
+        index = [slice(None)] * M
+        for j, m in enumerate(stem_modes):
+            index[m] = layout.stems[lo:hi, j][:, None]
+        return np.array([
+            rate_product(state.core_values, state_tables, index).sum(axis=-1).ravel()
+            for state, state_tables in zip(samples.samples, tables)])
+    return block_yhats
+
+
 def _log_mixture_masses(samples: PosteriorSamples, heldout: HeldoutSet) -> np.ndarray:
-    per_sample = np.empty((samples.S, heldout.n_cells))
-    for s, state in enumerate(samples.samples):
-        yhat = reconstruct_cells(state, heldout.coords)
-        per_sample[s] = poisson_logpmf(heldout.counts, yhat)
-    return logsumexp(per_sample, axis=0) - math.log(samples.S)
+    """log of each heldout cell's Poisson mass averaged over the samples,
+    streamed over blocks of cells, or of whole fibers when the set has a
+    layout."""
+    layout = heldout.layout
+    if layout is None:
+        unit_cells, n_units = 1, heldout.n_cells
+
+        def block_yhats(lo: int, hi: int):
+            return np.array([reconstruct_cells(state, heldout.coords[lo:hi])
+                             for state in samples.samples])
+    else:
+        unit_cells, n_units = heldout.n_cells // layout.n_stems, layout.n_stems
+        block_yhats = _fiber_yhats(samples, layout)
+    Q = max(state.Q for state in samples.samples)
+    out = np.empty(heldout.n_cells)
+    for lo, hi in _blocks(n_units, unit_cells, Q):
+        cells = slice(lo * unit_cells, hi * unit_cells)
+        masses = poisson_logpmf(heldout.counts[cells], block_yhats(lo, hi))
+        out[cells] = logsumexp(masses, axis=0) - math.log(samples.S)
+    return out
 
 
 def ppd(samples: PosteriorSamples, heldout: HeldoutSet) -> float:
@@ -175,15 +236,17 @@ def export_classes(state: ModelState, out_dir, n: int,
 
 
 def load_samples(run_dir) -> PosteriorSamples:
-    """Read the saved posterior states of a fitted run directory."""
+    """Read the saved posterior states of a fitted run directory, in chain
+    order."""
     sample_root = os.path.join(run_dir, "samples")
     if not os.path.isdir(sample_root):
         raise ValueError(f"{run_dir}: no samples directory")
-    names = sorted(d for d in os.listdir(sample_root)
-                   if d.startswith("sample_"))
+    names = [d for d in os.listdir(sample_root) if d.startswith("sample_")]
     if not names:
         raise ValueError(f"{run_dir}: no saved samples")
-    samples = [load_state(os.path.join(sample_root, name)) for name in names]
+    # By iteration, not by name: sample_10000 sorts before sample_1001.
+    samples = sorted((load_state(os.path.join(sample_root, name))
+                      for name in names), key=lambda st: st.next_iteration)
     iterations = [st.next_iteration - 1 for st in samples]
     return PosteriorSamples(samples=samples, iterations=iterations,
                             meta={"run_dir": str(run_dir)})

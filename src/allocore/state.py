@@ -28,6 +28,8 @@ __all__ = [
     "core_value_at",
     "reconstruct_at",
     "reconstruct_cells",
+    "class_tables",
+    "rate_product",
     "cell_rates",
     "effective_dims",
     "save_state",
@@ -280,15 +282,44 @@ def core_value_at(state: ModelState, kappa) -> float:
     return float(state.core_values[hit].sum())
 
 
+def class_tables(state: ModelState) -> list[np.ndarray]:
+    """Per mode m the C-contiguous (D_m, Q) class table
+    ``factors[m][:, core_locations[:, m]]``: column q is the factor column
+    at q's location."""
+    return [np.ascontiguousarray(f[:, state.core_locations[:, m]])
+            for m, f in enumerate(state.factors)]
+
+
+def rate_product(values: np.ndarray, tables: list[np.ndarray],
+                 index) -> np.ndarray:
+    """``values * tables[0][index[0]] * tables[1][index[1]] * ...``, one row
+    gather per mode, multiplied in exactly that order into a fresh
+    C-ordered, writable array of shape broadcast(rows) + (Q,).
+
+    ``index[m]`` selects rows of mode m's class table; the indices may
+    broadcast against each other (a fiber block indexes each stem mode by a
+    column of stems and the free mode by every row). The product grows to
+    the broadcast shape only when a factor needs it, and is multiplied in
+    place once it has that shape."""
+    rates = np.multiply(values, tables[0][index[0]], order="C")
+    for table, idx in zip(tables[1:], index[1:]):
+        rows = table[idx]
+        if np.broadcast_shapes(rates.shape, rows.shape) == rates.shape:
+            rates *= rows
+        else:
+            rates = np.multiply(rates, rows, order="C")
+        del rows  # else the next gather runs beside this one
+    return rates
+
+
 def cell_rates(state: ModelState, coords: np.ndarray) -> np.ndarray:
     """Per-class Poisson rates at the given cells: out[i, q] is the rate the
-    q-th core entry contributes to cell i. O(n * Q * M)."""
+    q-th core entry contributes to cell i, ``values[q] * T_0[c_0, q] *
+    T_1[c_1, q] * ...`` from the class tables of ``class_tables``, values
+    first and then the modes in ascending order. The output is C-contiguous
+    and writable. O(n * Q * M)."""
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, state.M)
-    rates = np.tile(state.core_values, (coords.shape[0], 1))
-    for m in range(state.M):
-        rates *= state.factors[m][coords[:, m][:, None],
-                                  state.core_locations[:, m][None, :]]
-    return rates
+    return rate_product(state.core_values, class_tables(state), coords.T)
 
 
 def reconstruct_cells(state: ModelState, coords: np.ndarray) -> np.ndarray:

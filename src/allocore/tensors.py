@@ -143,10 +143,17 @@ class FiberMask:
 
 @dataclass(frozen=True)
 class HeldoutSet:
-    """Every cell of every masked fiber with its true count (zeros included)."""
+    """Every cell of every masked fiber with its true count (zeros included).
+
+    ``layout`` is the mask the cells were written from, or None. With a
+    layout the cells are stem-major: cell i lies on stem i // D_free at
+    free-mode index i % D_free, so a scorer can treat each fiber as a whole.
+    The constructor checks that the cells are exactly that tiling.
+    """
 
     coords: np.ndarray
     counts: np.ndarray
+    layout: FiberMask | None = None
 
     def __post_init__(self):
         coords = np.asarray(self.coords, dtype=np.int64)
@@ -155,6 +162,8 @@ class HeldoutSet:
             raise ValueError("coords and counts disagree in length")
         if counts.size and counts.min() < 0:
             raise ValueError("heldout counts must be non-negative")
+        if self.layout is not None:
+            _check_layout(coords, self.layout)
         object.__setattr__(self, "coords", _frozen(coords))
         object.__setattr__(self, "counts", _frozen(counts))
 
@@ -168,6 +177,23 @@ class HeldoutSet:
     def positive(self) -> "HeldoutSet":
         keep = self.counts > 0
         return HeldoutSet(self.coords[keep], self.counts[keep])
+
+
+def _check_layout(coords: np.ndarray, layout: FiberMask) -> None:
+    M = layout.stems.shape[1] + 1
+    if coords.ndim != 2 or coords.shape[1] != M or layout.free_mode >= M:
+        raise ValueError("layout does not match the heldout cells' mode count")
+    n, n_stems = coords.shape[0], layout.n_stems
+    d_free = n // n_stems if n_stems else 0
+    if n_stems * d_free != n:
+        raise ValueError(
+            f"layout of {n_stems} stems does not tile {n} heldout cells")
+    fibers = coords.reshape(n_stems, d_free, M)
+    others = [m for m in range(M) if m != layout.free_mode]
+    if not ((fibers[:, :, layout.free_mode] == np.arange(d_free)).all()
+            and all((fibers[:, :, m] == layout.stems[:, j:j + 1]).all()
+                    for j, m in enumerate(others))):
+        raise ValueError("heldout cells are not the stem-major fibers of the layout")
 
 
 def make_fiber_mask(tensor: SparseCountTensor, free_mode: int, fraction: float,
@@ -207,12 +233,14 @@ def _check_mask(tensor: SparseCountTensor, mask: FiberMask) -> None:
 
 def split(tensor: SparseCountTensor, mask: FiberMask) -> tuple[SparseCountTensor, HeldoutSet]:
     """Partition a tensor into unmasked training entries and the full heldout
-    cell list (zeros materialized) of the masked fibers."""
+    cell list (zeros materialized) of the masked fibers, written stem-major
+    with the mask as its layout."""
     _check_mask(tensor, mask)
     M = tensor.ndim
     others = [m for m in range(M) if m != mask.free_mode]
     if mask.n_stems == 0:
-        empty = HeldoutSet(np.zeros((0, M), dtype=np.int64), np.zeros(0, dtype=np.int64))
+        empty = HeldoutSet(np.zeros((0, M), dtype=np.int64),
+                           np.zeros(0, dtype=np.int64), layout=mask)
         return tensor, empty
     reduced = tuple(tensor.shape[m] for m in others)
     stem_keys = np.ravel_multi_index(tuple(mask.stems.T), reduced)  # sorted
@@ -237,7 +265,7 @@ def split(tensor: SparseCountTensor, mask: FiberMask) -> tuple[SparseCountTensor
         stem_pos = np.searchsorted(stem_keys, cell_keys[masked])
         pos = stem_pos * d_free + tensor.coords[masked, mask.free_mode]
         held_counts[pos] = tensor.counts[masked]
-    return train, HeldoutSet(held_coords, held_counts)
+    return train, HeldoutSet(held_coords, held_counts, layout=mask)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
+from allocore import evaluation
 from allocore.evaluation import (
     classes_for_mass_share,
     export_classes,
@@ -16,8 +18,9 @@ from allocore.evaluation import (
     train_loglik,
 )
 from allocore.gibbs import PosteriorSamples
-from allocore.state import TINY, init_canonical, init_explicit, reconstruct_at
-from allocore.tensors import HeldoutSet, SparseCountTensor
+from allocore.state import (TINY, init_canonical, init_explicit, reconstruct_at,
+                            save_state)
+from allocore.tensors import HeldoutSet, SparseCountTensor, make_fiber_mask, split
 
 
 def unit_state(shape, lam=1.0, seed=0):
@@ -101,6 +104,70 @@ class TestPpdProperties:
         states, heldout = self._random_setup(seed=3)
         value = ppd(as_samples(*states), heldout)
         assert 0 < value <= 1.0
+
+
+def reference_log_masses(samples, heldout):
+    """Each cell's rates from one 2-D fancy gather of factor entries per
+    mode, then one logsumexp over the full (S, n) table of log masses."""
+    per_sample = np.empty((samples.S, heldout.n_cells))
+    for s, state in enumerate(samples.samples):
+        rates = np.tile(state.core_values, (heldout.n_cells, 1))
+        for m in range(state.M):
+            rates *= state.factors[m][heldout.coords[:, m][:, None],
+                                      state.core_locations[:, m][None, :]]
+        per_sample[s] = poisson_logpmf(heldout.counts, rates.sum(axis=1))
+    return logsumexp(per_sample, axis=0) - math.log(samples.S)
+
+
+class TestFiberPpdExact:
+    """The fiber-blocked ppd against the cell-by-cell form, bit for bit.
+    S = 10 because a logsumexp over one column adds its S terms pairwise,
+    not row by row, which changes the bits from S = 9 on."""
+
+    @pytest.mark.parametrize("shape, free_mode", [
+        ((6, 5, 4), 0), ((6, 5, 4), 1), ((6, 5, 4), 2),
+        ((4, 3, 5, 3), 0), ((4, 3, 5, 3), 2), ((4, 3, 5, 3), 3),
+        ((7, 5, 1), 2),
+    ])
+    @pytest.mark.parametrize("stems_per_block", [4, 7])
+    def test_blocked_fibers_equal_cell_reference(self, shape, free_mode,
+                                                 stems_per_block, monkeypatch):
+        rng = np.random.default_rng(sum(shape) + free_mode)
+        dense = rng.poisson(1.5, size=shape)
+        X = SparseCountTensor(shape, np.argwhere(dense), dense[dense > 0])
+        candidates = math.prod(shape) // shape[free_mode]
+        mask = make_fiber_mask(X, free_mode, 15.5 / candidates, seed=3)
+        _, heldout = split(X, mask)
+        assert heldout.layout is mask and mask.n_stems == 15
+        Q, d_free = 12, shape[free_mode]
+        samples = as_samples(*[init_explicit(shape, (3,) * len(shape), Q,
+                                             "allocore", seed=s)
+                               for s in range(10)])
+        # 15 stems in blocks of 4 (4, 4, 4, 3) or 7 (7, 7, 1); with
+        # D_free = 1 the one-cell last block joins the one before it.
+        monkeypatch.setattr(evaluation, "_BLOCK_BYTES",
+                            8 * Q * d_free * stems_per_block)
+        assert len(list(evaluation._blocks(15, d_free, Q))) >= 2
+
+        want = reference_log_masses(samples, heldout)
+        cells = HeldoutSet(heldout.coords, heldout.counts)
+        got_fibers = evaluation._log_mixture_masses(samples, heldout)
+        got_cells = evaluation._log_mixture_masses(samples, cells)
+        assert np.array_equal(got_fibers, want)
+        assert np.array_equal(got_cells, want)
+        assert ppd(samples, heldout) == ppd(samples, cells)
+        assert ppd(samples, heldout) == float(np.exp(want.mean()))
+
+    def test_no_block_is_one_cell(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 8 * 12 * 7)
+        assert list(evaluation._blocks(15, 1, 12)) == [(0, 7), (7, 15)]
+        assert list(evaluation._blocks(15, 2, 12)) == [
+            (0, 3), (3, 6), (6, 9), (9, 12), (12, 15)]
+        assert list(evaluation._blocks(15, 8, 12)) == [
+            (i, i + 1) for i in range(15)]
+        monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 8)
+        assert list(evaluation._blocks(5, 1, 12)) == [(0, 2), (2, 5)]
+        assert list(evaluation._blocks(1, 1, 12)) == [(0, 1)]
 
 
 class TestPpdPositive:
@@ -273,6 +340,16 @@ class TestExportClasses:
                        vocabularies=vocabs)
         text = (tmp_path / "c" / "class_001.tsv").read_text()
         assert "alice" in text or "bob" in text
+
+
+def test_load_samples_in_iteration_order(tmp_path):
+    # sample_10000 sorts before sample_1001 as a string
+    base = unit_state((2, 2))
+    for index in (999, 10000, 1000, 1001):
+        state = base.snapshot()
+        state.next_iteration = index + 1
+        save_state(state, tmp_path / "samples" / f"sample_{index:04d}")
+    assert load_samples(tmp_path).iterations == [999, 1000, 1001, 10000]
 
 
 def test_load_samples_missing_dir(tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from allocore.state import (
     Hyperparameters,
     IntegrityError,
+    cell_rates,
     core_value_at,
     effective_dims,
     init_canonical,
@@ -200,6 +201,32 @@ class TestReconstruct:
         state = init_canonical((2, 2), Q=1, seed=0)
         with pytest.raises(ValueError):
             reconstruct_at(state, (2, 0))
+
+
+def fancy_gather_rates(state, coords):
+    """Reference: a tiled row of core values times one 2-D fancy gather of
+    factor entries per mode, modes in ascending order."""
+    rates = np.tile(state.core_values, (coords.shape[0], 1))
+    for m in range(state.M):
+        rates *= state.factors[m][coords[:, m][:, None],
+                                  state.core_locations[:, m][None, :]]
+    return rates
+
+
+class TestCellRates:
+    @pytest.mark.parametrize("M", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [0, 1, 40])
+    def test_class_tables_equal_fancy_gather(self, M, n):
+        rng = np.random.default_rng(10 * M + n)
+        shape = tuple(int(d) for d in rng.integers(2, 6, size=M))
+        K = tuple(int(k) for k in rng.integers(2, 5, size=M))
+        state = init_explicit(shape, K, Q=11, core_mode="allocore", seed=M)
+        coords = np.stack([rng.integers(0, d, size=n) for d in shape], axis=1)
+        rates = cell_rates(state, coords)
+        assert np.array_equal(rates, fancy_gather_rates(state, coords))
+        assert rates.shape == (n, 11)
+        # thin_counts divides the table in place
+        assert rates.flags.c_contiguous and rates.flags.writeable
 
 
 class TestEffectiveDims:

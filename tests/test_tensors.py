@@ -236,6 +236,7 @@ class TestSplit:
         train, heldout = split(tensor, mask)
         assert train.to_dict() == tensor.to_dict()
         assert heldout.n_cells == 0
+        assert heldout.layout is mask
 
     def test_worked_two_by_two(self):
         # mask the first fiber along mode 2: heldout lists both of its cells
@@ -283,6 +284,40 @@ class TestSplit:
         held_cells = set(map(tuple, heldout.coords))
         assert not train_cells & held_cells
         assert heldout.n_cells == mask.n_stems * tensor.shape[free_mode]
+
+
+class TestHeldoutLayout:
+    def _split(self):
+        tensor = SparseCountTensor.from_entries(
+            (4, 3, 2), {(0, 0, 0): 1, (3, 2, 1): 4, (1, 1, 1): 2})
+        mask = FiberMask(free_mode=1, stems=np.array([[0, 0], [3, 1]]))
+        return split(tensor, mask)[1], mask
+
+    def test_split_carries_its_mask(self):
+        heldout, mask = self._split()
+        assert heldout.layout is mask
+        # stem-major: fiber (0, :, 0) then fiber (3, :, 1)
+        assert heldout.coords.tolist() == [[0, 0, 0], [0, 1, 0], [0, 2, 0],
+                                           [3, 0, 1], [3, 1, 1], [3, 2, 1]]
+        assert HeldoutSet(heldout.coords, heldout.counts, layout=mask).n_cells == 6
+
+    def test_layout_that_does_not_tile_rejected(self):
+        heldout, mask = self._split()
+        with pytest.raises(ValueError, match="tile"):
+            HeldoutSet(heldout.coords[:-1], heldout.counts[:-1], layout=mask)
+        three = FiberMask(free_mode=0, stems=np.array([[0, 0], [1, 1], [2, 1]]))
+        with pytest.raises(ValueError, match="stem-major"):
+            HeldoutSet(heldout.coords, heldout.counts, layout=three)
+        with pytest.raises(ValueError, match="stem-major"):
+            HeldoutSet(heldout.coords[::-1], heldout.counts[::-1], layout=mask)
+        with pytest.raises(ValueError, match="mode count"):
+            HeldoutSet(heldout.coords[:, :2], heldout.counts, layout=mask)
+
+    def test_positive_subset_has_no_layout(self):
+        heldout, _ = self._split()
+        pos = heldout.positive()
+        assert pos.layout is None
+        assert pos.counts.tolist() == [1, 4]
 
 
 def test_vocab_round_trip(tmp_path):
