@@ -88,6 +88,13 @@ def _int_list(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t.strip()]
 
 
+def _free_mode(mask_mode: int | None, M: int) -> int:
+    """The 0-based free mode that the 1-based --mask-mode flag names."""
+    if mask_mode is None or not 1 <= mask_mode <= M:
+        raise ValueError(f"--mask-mode must name a mode in 1..{M}, got {mask_mode}")
+    return mask_mode - 1
+
+
 # ---------------------------------------------------------------------------
 # ingest
 # ---------------------------------------------------------------------------
@@ -147,8 +154,8 @@ def cmd_ingest(args, argv) -> int:
 
 def cmd_mask(args, argv) -> int:
     tensor = load_coo(args.data)
+    free_mode = _free_mode(args.mask_mode, tensor.ndim)
     os.makedirs(args.out, exist_ok=True)
-    free_mode = args.mask_mode - 1
     for i in range(args.num_masks):
         seed = args.mask_seed + i
         mask = make_fiber_mask(tensor, free_mode, args.mask_frac, seed)
@@ -207,7 +214,7 @@ def _fit_single(params: dict) -> str:
     if params["mask"] is not None:
         mask = load_mask(params["mask"])
     elif params["mask_frac"] is not None:
-        mask = make_fiber_mask(tensor, params["mask_mode"] - 1,
+        mask = make_fiber_mask(tensor, _free_mode(params["mask_mode"], tensor.ndim),
                                params["mask_frac"], params["mask_seed"])
 
     hyper = Hyperparameters(a0=params["a0"], b0=params["b0"],
@@ -263,9 +270,8 @@ def _fit_single(params: dict) -> str:
         "core_cell_limit": params["core_cell_limit"],
     })
     samples = run_chain(train, mask, init, config, out_dir=out)
-    print(f"{out}: saved {samples.S} samples "
-          f"(iterations {samples.meta['first_iteration']}"
-          f"..{samples.meta['last_iteration']})")
+    print(f"{out}: saved {samples.S} samples (iterations {init.next_iteration}"
+          f"..{params['burnin'] + params['iters']})")
     return out
 
 
@@ -273,8 +279,6 @@ def cmd_fit(args, argv) -> int:
     q_values = _int_list(args.Q)
     if not q_values:
         raise ValueError("--Q must name at least one budget")
-    if args.format == "events":
-        raise ValueError("fit reads COO tensors; run 'allocore ingest' first")
     base = {
         "data": args.data,
         "mask": args.mask,
@@ -378,10 +382,9 @@ def cmd_eval(args, argv) -> int:
 
     runs.sort(key=q_of)
     existing = _existing_result_keys(args.out)
-    new_file = not os.path.exists(args.out)
     appended = 0
     with open(args.out, "a") as f:
-        if new_file:
+        if f.tell() == 0:  # a new or empty file
             f.write("\t".join(RESULT_COLUMNS) + "\n")
         for run_dir in runs:
             key = _run_key(run_dir)
@@ -533,7 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="run a Gibbs chain")
     p.add_argument("--data", required=True)
-    p.add_argument("--format", choices=["coo", "events"], default="coo")
     p.add_argument("--mode", choices=["allocore", "cp", "tucker"],
                    default="allocore")
     p.add_argument("--Q", required=True,
@@ -552,7 +554,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--mask", default=None, help="mask file to hold out")
     p.add_argument("--mask-frac", type=float, default=None)
-    p.add_argument("--mask-mode", type=int, default=None)
+    p.add_argument("--mask-mode", type=int, default=None,
+                   help="1-based free mode of the fibers --mask-frac holds out")
     p.add_argument("--mask-seed", type=int, default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--resume", action="store_true",

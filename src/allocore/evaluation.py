@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, logsumexp, xlogy
 
-from .gibbs import MaskCorrections, PosteriorSamples, proportional_train_loglik
+from .gibbs import PosteriorSamples, proportional_train_loglik
 from .state import (ModelState, class_tables, load_state, rate_product,
                     reconstruct_cells)
 from .tensors import FiberMask, HeldoutSet, SparseCountTensor
@@ -74,12 +74,10 @@ def _fiber_yhats(samples: PosteriorSamples, layout: FiberMask):
     stem-major order: per sample the class-table rows of the stems times the
     whole free-mode table, a (stems, D_free, Q) product summed over q."""
     tables = [class_tables(state) for state in samples.samples]
-    M = layout.stems.shape[1] + 1
-    stem_modes = [m for m in range(M) if m != layout.free_mode]
 
     def block_yhats(lo: int, hi: int):
-        index = [slice(None)] * M
-        for j, m in enumerate(stem_modes):
+        index = [slice(None)] * (layout.stems.shape[1] + 1)
+        for j, m in enumerate(layout.stem_modes):
             index[m] = layout.stems[lo:hi, j][:, None]
         return np.array([
             rate_product(state.core_values, state_tables, index).sum(axis=-1).ravel()
@@ -140,17 +138,14 @@ def ppd_constant_baseline(train: SparseCountTensor, heldout: HeldoutSet) -> floa
     return float(np.exp(masses.mean()))
 
 
-def train_loglik(state: ModelState, train: SparseCountTensor,
-                 mask: FiberMask | None = None, exact: bool = False) -> float:
-    """Poisson log-likelihood of the training data: the proportional
-    log-likelihood the chain logs, plus the -log(y!) constant if ``exact``."""
-    ll = proportional_train_loglik(state, train, MaskCorrections(mask, train.shape))
+def train_loglik(state: ModelState, train: SparseCountTensor) -> float:
+    """Poisson log-likelihood of every cell of ``train``, the log row of an
+    unmasked chain: sum over non-zeros of y*log(yhat) minus the total rate,
+    without the count-only -log(y!) constant. Warns when it is -inf."""
+    ll = proportional_train_loglik(state, train)
     if ll == -math.inf:
         warnings.warn("reconstruction vanished at a positive count; "
                       "log-likelihood is -inf", RuntimeWarning)
-        return ll
-    if exact:
-        ll -= float(gammaln(train.counts + 1.0).sum())
     return ll
 
 
@@ -245,8 +240,5 @@ def load_samples(run_dir) -> PosteriorSamples:
     if not names:
         raise ValueError(f"{run_dir}: no saved samples")
     # By iteration, not by name: sample_10000 sorts before sample_1001.
-    samples = sorted((load_state(os.path.join(sample_root, name))
-                      for name in names), key=lambda st: st.next_iteration)
-    iterations = [st.next_iteration - 1 for st in samples]
-    return PosteriorSamples(samples=samples, iterations=iterations,
-                            meta={"run_dir": str(run_dir)})
+    samples = [load_state(os.path.join(sample_root, name)) for name in names]
+    return PosteriorSamples(sorted(samples, key=lambda st: st.next_iteration))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,25 +87,24 @@ def thin_counts(state: ModelState, train: SparseCountTensor,
     rates. Zero cells carry no sources. O(nnz * Q * M)."""
     if train.shape != state.shape:
         raise ValueError("training tensor shape does not match state")
-    nnz, Q = train.nnz, state.Q
-    per_cell = np.zeros((nnz, Q), dtype=np.int64)
-    if nnz:
-        p = cell_rates(state, train.coords)
-        suffix = np.cumsum(p[:, ::-1], axis=1)[:, ::-1]
-        if not np.isfinite(suffix[:, 0]).all() or (suffix[:, 0] <= 0).any():
-            raise RuntimeError(
-                "thinning rates vanished or blew up; state positivity is broken")
-        # p[:, q] becomes rate_q / (rate_q + ... + rate_{Q-1}), in [0, 1]: a
-        # rounded sum of non-negative terms is never below one of them, and
-        # where a suffix underflowed to 0 its own rate is 0 and stays so.
-        np.divide(p, suffix, out=p, where=suffix > 0)
-        del suffix
-        remaining = train.counts.copy()
-        for q in range(Q - 1):
-            draw = rng.binomial(remaining, np.ascontiguousarray(p[:, q]))
-            per_cell[:, q] = draw
-            remaining -= draw
-        per_cell[:, Q - 1] = remaining
+    Q = state.Q
+    per_cell = np.zeros((train.nnz, Q), dtype=np.int64)
+    p = cell_rates(state, train.coords)
+    suffix = np.cumsum(p[:, ::-1], axis=1)[:, ::-1]
+    if not np.isfinite(suffix[:, 0]).all() or (suffix[:, 0] <= 0).any():
+        raise RuntimeError(
+            "thinning rates vanished or blew up; state positivity is broken")
+    # p[:, q] becomes rate_q / (rate_q + ... + rate_{Q-1}), in [0, 1]: a
+    # rounded sum of non-negative terms is never below one of them, and
+    # where a suffix underflowed to 0 its own rate is 0 and stays so.
+    np.divide(p, suffix, out=p, where=suffix > 0)
+    del suffix
+    remaining = train.counts.copy()
+    for q in range(Q - 1):
+        draw = rng.binomial(remaining, np.ascontiguousarray(p[:, q]))
+        per_cell[:, q] = draw
+        remaining -= draw
+    per_cell[:, Q - 1] = remaining
 
     return LatentSources(
         per_cell=per_cell, totals=per_cell.sum(axis=0),
@@ -130,16 +129,11 @@ class MaskCorrections:
 
     def __init__(self, mask: FiberMask | None, shape: tuple[int, ...]):
         self.shape = tuple(shape)
-        M = len(self.shape)
         self.active = mask is not None and mask.n_stems > 0
-        if not self.active:
-            self.free_mode = -1
-            self.stem_modes: list[int] = []
-            self.stems = np.zeros((0, max(M - 1, 0)), dtype=np.int64)
-            return
-        self.free_mode = mask.free_mode
-        self.stem_modes = [m for m in range(M) if m != mask.free_mode]
-        self.stems = mask.stems
+        if self.active:
+            self.free_mode = mask.free_mode
+            self.stem_modes = mask.stem_modes
+            self.stems = mask.stems
 
     def _stem_product(self, state: ModelState, skip: int = -1) -> np.ndarray:
         """(Q, S): product over the stem modes other than ``skip`` of each
@@ -231,8 +225,6 @@ def proportional_train_loglik(state: ModelState, train: SparseCountTensor,
     constant: sum over non-zeros of y*log(yhat) minus the total observed
     rate."""
     rate_total = observed_rate_total(state, corrections)
-    if train.nnz == 0:
-        return -rate_total
     yhat = cell_rates(state, train.coords).sum(axis=1)
     if (yhat <= 0).any():
         return float("-inf")
@@ -296,7 +288,7 @@ def sample_phi(state: ModelState, sources: LatentSources,
 
 def pi_conditional_alphas(state: ModelState, m: int) -> np.ndarray:
     counts = np.bincount(state.core_locations[:, m], minlength=state.K[m])
-    return state.hyper.alpha_vector(m, state.K[m]) + counts
+    return state.hyper.alpha_vector(state.K[m]) + counts
 
 
 def sample_pi(state: ModelState, rng: np.random.Generator) -> None:
@@ -387,15 +379,18 @@ class ChainConfig:
 
 @dataclass
 class PosteriorSamples:
-    """Ordered saved states plus chain metadata."""
+    """Saved states in chain order."""
 
     samples: list[ModelState]
-    iterations: list[int] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
 
     @property
     def S(self) -> int:
         return len(self.samples)
+
+    @property
+    def iterations(self) -> list[int]:
+        """The sweep after which each state was saved."""
+        return [st.next_iteration - 1 for st in self.samples]
 
 
 SWEEP_ORDER = ("thin", "locations", "lambda", "phi", "pi")
@@ -446,7 +441,6 @@ def run_chain(train: SparseCountTensor, mask: FiberMask | None,
                                      _chain_log_header(state.M) + "\n"])
 
     saved: list[ModelState] = []
-    saved_iters: list[int] = []
     try:
         for it in range(first_iter, last_iter + 1):
             t0 = time.perf_counter()
@@ -474,7 +468,6 @@ def run_chain(train: SparseCountTensor, mask: FiberMask | None,
             if it > config.burn_in and (it - config.burn_in) % config.thin == 0:
                 snap = state.snapshot()
                 saved.append(snap)
-                saved_iters.append(it)
                 if sample_sink is not None:
                     sample_sink(it, snap)
                 if out_dir is not None:
@@ -490,14 +483,4 @@ def run_chain(train: SparseCountTensor, mask: FiberMask | None,
         marker = os.path.join(out_dir, INCOMPLETE_MARKER)
         if os.path.exists(marker):
             os.remove(marker)
-
-    meta = {
-        "seed": seed,
-        "burn_in": config.burn_in,
-        "total": config.total,
-        "thin": config.thin,
-        "sweep": ",".join(SWEEP_ORDER),
-        "first_iteration": first_iter,
-        "last_iteration": last_iter,
-    }
-    return PosteriorSamples(samples=saved, iterations=saved_iters, meta=meta)
+    return PosteriorSamples(samples=saved)

@@ -67,43 +67,22 @@ def substream(seed: int, iteration: int, block: int) -> np.random.Generator:
 @dataclass(frozen=True)
 class Hyperparameters:
     """Gamma shape/rate pairs for core values (a0, b0) and factor entries
-    (e0, f0), plus the per-mode Dirichlet concentration alpha0.
-
-    ``alpha0`` may be a scalar (shared by all modes) or a per-mode tuple.
-    ``divide_alpha_by_k`` switches the concentration to alpha0/K_m per
-    component; the default keeps alpha0 per component.
-    """
+    (e0, f0), plus the Dirichlet concentration alpha0 that every component
+    of every mode's location prior shares."""
 
     a0: float = 1.0
     b0: float = 1.0
     e0: float = 1.0
     f0: float = 10.0
-    alpha0: float | tuple[float, ...] = 0.1
-    divide_alpha_by_k: bool = False
+    alpha0: float = 0.1
 
     def __post_init__(self):
-        for name in ("a0", "b0", "e0", "f0"):
+        for name in ("a0", "b0", "e0", "f0", "alpha0"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
-        a = self.alpha0
-        if isinstance(a, (int, float)):
-            if a <= 0:
-                raise ValueError("alpha0 must be strictly positive")
-        else:
-            object.__setattr__(self, "alpha0", tuple(float(x) for x in a))
-            if any(x <= 0 for x in self.alpha0):
-                raise ValueError("alpha0 must be strictly positive")
 
-    def alpha_for_mode(self, m: int) -> float:
-        if isinstance(self.alpha0, tuple):
-            return self.alpha0[m]
-        return float(self.alpha0)
-
-    def alpha_vector(self, m: int, k_m: int) -> np.ndarray:
-        base = self.alpha_for_mode(m)
-        if self.divide_alpha_by_k:
-            base = base / k_m
-        return np.full(k_m, base)
+    def alpha_vector(self, k: int) -> np.ndarray:
+        return np.full(k, self.alpha0, dtype=np.float64)
 
 
 @dataclass
@@ -199,7 +178,7 @@ def _build_state(shape, K, Q, core_mode, hyper, seed, placement) -> ModelState:
     core_values = np.maximum(rng.gamma(hyper.a0, 1.0 / hyper.b0, size=Q), TINY)
     factors = [np.maximum(rng.gamma(hyper.e0, 1.0 / hyper.f0, size=(d, k)), TINY)
                for d, k in zip(shape, K)]
-    mode_priors = [rng.dirichlet(hyper.alpha_vector(m, k)) for m, k in enumerate(K)]
+    mode_priors = [rng.dirichlet(hyper.alpha_vector(k)) for k in K]
 
     M = len(shape)
     if placement == "diagonal":
@@ -376,7 +355,6 @@ def save_state(state: ModelState, dirpath) -> None:
 
     digest = _checksum(dirpath, _data_files(state.M))
     h = state.hyper
-    alpha = h.alpha0 if isinstance(h.alpha0, tuple) else (h.alpha0,) * state.M
     lines = [
         f"version={STATE_FORMAT_VERSION}",
         f"mode={state.core_mode}",
@@ -385,8 +363,7 @@ def save_state(state: ModelState, dirpath) -> None:
         "K=" + " ".join(str(k) for k in state.K),
         f"Q={state.Q}",
         f"a0={h.a0!r}", f"b0={h.b0!r}", f"e0={h.e0!r}", f"f0={h.f0!r}",
-        "alpha0=" + " ".join(repr(a) for a in alpha),
-        f"divide_alpha_by_k={int(h.divide_alpha_by_k)}",
+        f"alpha0={h.alpha0!r}",
         f"seed={state.seed}",
         f"next_iteration={state.next_iteration}",
         f"checksum={digest}",
@@ -435,13 +412,17 @@ def load_state(dirpath) -> ModelState:
     if actual != declared:
         raise IntegrityError(f"{dirpath}: checksum mismatch, state files corrupt")
 
-    alpha = tuple(float(a) for a in man["alpha0"].split())
-    hyper = Hyperparameters(
-        a0=float(man["a0"]), b0=float(man["b0"]),
-        e0=float(man["e0"]), f0=float(man["f0"]),
-        alpha0=alpha if len(set(alpha)) > 1 else alpha[0],
-        divide_alpha_by_k=bool(int(man.get("divide_alpha_by_k", "0"))),
-    )
+    # Older manifests repeat alpha0 once per mode and carry
+    # divide_alpha_by_k=0; states of any other model are refused.
+    alpha = {float(a) for a in man["alpha0"].split()}
+    if len(alpha) != 1:
+        raise ValueError(f"{dirpath}: alpha0={man['alpha0']} is not one shared value")
+    if man.get("divide_alpha_by_k", "0") != "0":
+        raise ValueError(f"{dirpath}: divide_alpha_by_k="
+                         f"{man['divide_alpha_by_k']} is not supported")
+    hyper = Hyperparameters(a0=float(man["a0"]), b0=float(man["b0"]),
+                            e0=float(man["e0"]), f0=float(man["f0"]),
+                            alpha0=alpha.pop())
 
     factors = []
     for m in range(M):

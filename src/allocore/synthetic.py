@@ -92,14 +92,12 @@ class GroundTruth:
     k_eff: tuple[int, ...]
 
 
-def generate(config: SyntheticConfig,
-             seed: int | None = None) -> tuple[SparseCountTensor, GroundTruth]:
-    """Draw a tensor from the generative model: gamma core values at uniform
-    rank-1 locations, per-class Poisson event totals allocated independently
-    along each mode by the normalized factor columns."""
-    if seed is None:
-        seed = config.seed
-    rng = np.random.default_rng(seed)
+def generate(config: SyntheticConfig) -> tuple[SparseCountTensor, GroundTruth]:
+    """Draw a tensor from the generative model, seeded by ``config.seed``:
+    gamma core values at uniform rank-1 locations, per-class Poisson event
+    totals allocated independently along each mode by the normalized factor
+    columns."""
+    rng = np.random.default_rng(config.seed)
     M = len(config.shape)
     Q = config.true_budget
 
@@ -152,7 +150,7 @@ def generate(config: SyntheticConfig,
         shape=config.shape, hyper=hyper, factors=factors,
         core_values=core_values, core_locations=locations,
         mode_priors=[np.full(k, 1.0 / k) for k in config.true_dims],
-        core_mode="allocore", seed=seed)
+        core_mode="allocore", seed=config.seed)
     truth_state.validate()
     q_eff, k_eff = effective_dims(truth_state)
     return tensor, GroundTruth(state=truth_state, q_eff=q_eff, k_eff=k_eff)
@@ -180,8 +178,7 @@ def write_trace(samples: PosteriorSamples, path) -> None:
     with open(path, "w") as f:
         cols = "\t".join(f"k_eff_{m + 1}" for m in range(M))
         f.write(f"sample\titeration\t{cols}\tq_eff\n")
-        for s in range(len(q_eff)):
-            it = samples.iterations[s] if samples.iterations else s + 1
+        for s, it in enumerate(samples.iterations):
             ks = "\t".join(str(int(k)) for k in k_eff[s])
             f.write(f"{s + 1}\t{it}\t{ks}\t{int(q_eff[s])}\n")
 

@@ -140,6 +140,11 @@ class FiberMask:
     def n_stems(self) -> int:
         return int(self.stems.shape[0])
 
+    @property
+    def stem_modes(self) -> list[int]:
+        """The modes a stem indexes, in order: every mode but the free one."""
+        return [m for m in range(self.stems.shape[1] + 1) if m != self.free_mode]
+
 
 @dataclass(frozen=True)
 class HeldoutSet:
@@ -189,10 +194,9 @@ def _check_layout(coords: np.ndarray, layout: FiberMask) -> None:
         raise ValueError(
             f"layout of {n_stems} stems does not tile {n} heldout cells")
     fibers = coords.reshape(n_stems, d_free, M)
-    others = [m for m in range(M) if m != layout.free_mode]
     if not ((fibers[:, :, layout.free_mode] == np.arange(d_free)).all()
             and all((fibers[:, :, m] == layout.stems[:, j:j + 1]).all()
-                    for j, m in enumerate(others))):
+                    for j, m in enumerate(layout.stem_modes))):
         raise ValueError("heldout cells are not the stem-major fibers of the layout")
 
 
@@ -225,8 +229,7 @@ def _check_mask(tensor: SparseCountTensor, mask: FiberMask) -> None:
         raise ValueError("mask free_mode out of range for tensor")
     if mask.stems.shape[1] != M - 1:
         raise ValueError("mask stem width does not match tensor mode count")
-    reduced = np.asarray(
-        [d for m, d in enumerate(tensor.shape) if m != mask.free_mode])
+    reduced = np.asarray([tensor.shape[m] for m in mask.stem_modes])
     if mask.n_stems and (mask.stems >= reduced).any():
         raise ValueError("mask stem coordinate out of range for tensor")
 
@@ -236,35 +239,23 @@ def split(tensor: SparseCountTensor, mask: FiberMask) -> tuple[SparseCountTensor
     cell list (zeros materialized) of the masked fibers, written stem-major
     with the mask as its layout."""
     _check_mask(tensor, mask)
-    M = tensor.ndim
-    others = [m for m in range(M) if m != mask.free_mode]
-    if mask.n_stems == 0:
-        empty = HeldoutSet(np.zeros((0, M), dtype=np.int64),
-                           np.zeros(0, dtype=np.int64), layout=mask)
-        return tensor, empty
-    reduced = tuple(tensor.shape[m] for m in others)
+    reduced = tuple(tensor.shape[m] for m in mask.stem_modes)
     stem_keys = np.ravel_multi_index(tuple(mask.stems.T), reduced)  # sorted
     d_free = tensor.shape[mask.free_mode]
-
-    if tensor.nnz:
-        cell_keys = np.ravel_multi_index(
-            tuple(tensor.coords[:, others].T), reduced)
-        masked = np.isin(cell_keys, stem_keys)
-    else:
-        cell_keys = np.zeros(0, dtype=np.int64)
-        masked = np.zeros(0, dtype=bool)
+    cell_keys = np.ravel_multi_index(tuple(tensor.coords[:, mask.stem_modes].T),
+                                     reduced)
+    masked = np.isin(cell_keys, stem_keys)
     train = SparseCountTensor(tensor.shape, tensor.coords[~masked],
                               tensor.counts[~masked])
 
-    held_coords = np.empty((mask.n_stems * d_free, M), dtype=np.int64)
-    for j, m in enumerate(others):
+    held_coords = np.empty((mask.n_stems * d_free, tensor.ndim), dtype=np.int64)
+    for j, m in enumerate(mask.stem_modes):
         held_coords[:, m] = np.repeat(mask.stems[:, j], d_free)
     held_coords[:, mask.free_mode] = np.tile(np.arange(d_free), mask.n_stems)
     held_counts = np.zeros(mask.n_stems * d_free, dtype=np.int64)
-    if masked.any():
-        stem_pos = np.searchsorted(stem_keys, cell_keys[masked])
-        pos = stem_pos * d_free + tensor.coords[masked, mask.free_mode]
-        held_counts[pos] = tensor.counts[masked]
+    stem_pos = np.searchsorted(stem_keys, cell_keys[masked])
+    pos = stem_pos * d_free + tensor.coords[masked, mask.free_mode]
+    held_counts[pos] = tensor.counts[masked]
     return train, HeldoutSet(held_coords, held_counts, layout=mask)
 
 
@@ -337,7 +328,12 @@ def load_mask(path) -> FiberMask:
             if free_mode is None:
                 if not line.startswith("free_mode="):
                     raise ValueError(f"{path}:{ln}: expected 'free_mode=' header")
-                free_mode = int(line.split("=", 1)[1]) - 1
+                try:
+                    free_mode = int(line.split("=", 1)[1]) - 1
+                except ValueError:
+                    free_mode = -1
+                if free_mode < 0:
+                    raise ValueError(f"{path}:{ln}: free_mode must be a 1-based mode")
                 continue
             try:
                 row = [int(t) - 1 for t in line.split()]

@@ -168,7 +168,7 @@ def test_criterion_02_conjugate_update_oracles():
 
     # mode-0 prior simplex: Dirichlet(alpha0 + occupancy counts)
     counts = np.bincount(state.core_locations[:, 0], minlength=2)
-    alpha = h.alpha_for_mode(0) + counts
+    alpha = h.alpha0 + counts
     a0_sum = alpha.sum()
     mean = alpha / a0_sum
     var = alpha * (a0_sum - alpha) / (a0_sum ** 2 * (a0_sum + 1))

@@ -76,6 +76,18 @@ class TestMask:
                 "--num-masks", "1", "--out", again)
         assert (again / "mask_01.txt").read_bytes() == contents[0]
 
+    @pytest.mark.parametrize("command, mode", [
+        ("mask", "0"), ("mask", "4"), ("fit", "9"), ("fit", None), ("fit", "-1")])
+    def test_free_mode_checked(self, synth_coo, tmp_path, capsys, command, mode):
+        flag = [] if mode is None else ["--mask-mode", mode]
+        fit = ["--Q", "2,3", "--burnin", "0", "--iters", "1", "--thin", "1"]
+        rc = run_cli(command, "--data", synth_coo, "--mask-frac", "0.01", *flag,
+                     *(fit if command == "fit" else []), "--out", tmp_path / "out")
+        assert rc == 2
+        assert f"--mask-mode must name a mode in 1..3, got {mode}" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     def test_fraction_bounds(self, synth_coo, tmp_path, capsys):
         rc = run_cli("mask", "--data", synth_coo, "--mask-mode", "3",
                      "--mask-frac", "1.5", "--out", tmp_path / "m")
@@ -141,6 +153,13 @@ class TestFit:
         assert run_cli("fit", *common, "--iters", "1") == 0
         assert run_cli("fit", *common, "--iters", "2", "--resume") == 0
         assert (tmp_path / "run" / "samples" / "sample_0002").is_dir()
+
+    def test_format_flag_gone(self, synth_coo, tmp_path):
+        # fit reads COO only; events go through 'allocore ingest'
+        with pytest.raises(SystemExit) as exc:
+            run_cli("fit", "--data", synth_coo, "--format", "coo", "--Q", "2",
+                    "--out", tmp_path / "run")
+        assert exc.value.code == 2
 
     def test_tucker_over_limit_refused(self, synth_coo, tmp_path, capsys):
         rc = run_cli("fit", "--data", synth_coo, "--mode", "tucker",
@@ -226,6 +245,15 @@ class TestEval:
         assert rc == 0
         assert table.read_text() == first
         assert "skipping" in capsys.readouterr().out
+
+    def test_empty_table_gets_header(self, fitted_run, tmp_path):
+        table = tmp_path / "results.tsv"
+        table.write_text("")
+        assert run_cli("eval", "--runs", fitted_run, "--out", table) == 0
+        assert run_cli("eval", "--runs", fitted_run, "--out", table) == 0
+        lines = table.read_text().splitlines()
+        assert len(lines) == 2
+        assert lines[0].split("\t")[:2] == ["run", "dataset"]
 
     def test_run_named_twice_appends_one_row(self, fitted_run, tmp_path, capsys):
         table = tmp_path / "results.tsv"

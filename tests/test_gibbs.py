@@ -467,6 +467,14 @@ class TestRunChain:
         assert post.S == 2
         assert post.iterations == [20, 40]
 
+    def test_iterations_follow_states(self):
+        train, state = random_instance(3)
+        post = run_chain(train, None, state, ChainConfig(burn_in=1, total=4, thin=2))
+        assert post.iterations == [3, 5]
+        post.samples[0].next_iteration = 8
+        post.samples.append(post.samples[1].snapshot())
+        assert post.iterations == [7, 5, 5]
+
     def test_determinism(self):
         train, state = random_instance(3)
         cfg = ChainConfig(burn_in=2, total=4, thin=2)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from allocore.gibbs import ChainConfig, run_chain
 from allocore.state import (
     Hyperparameters,
     IntegrityError,
@@ -19,6 +20,7 @@ from allocore.state import (
     reconstruct_cells,
     save_state,
 )
+from allocore.tensors import SparseCountTensor
 
 
 def dense_reconstruction(state, d):
@@ -275,13 +277,50 @@ class TestStateIO:
                               reconstruct_cells(state, cells))
 
     def test_hyper_round_trip(self, tmp_path):
-        hyper = Hyperparameters(a0=0.5, b0=2.0, e0=1.5, f0=3.0,
-                                alpha0=(0.1, 0.2), divide_alpha_by_k=True)
+        hyper = Hyperparameters(a0=0.5, b0=2.0, e0=1.5, f0=3.0, alpha0=0.2)
         state = init_explicit((3, 3), (2, 2), Q=2, core_mode="allocore",
                               hyper=hyper, seed=0)
         save_state(state, tmp_path / "st")
         back = load_state(tmp_path / "st")
         assert back.hyper == hyper
+
+    @staticmethod
+    def _older_layout(manifest, alpha0, divide):
+        """Rewrite a manifest the way states were saved before alpha0 became
+        one scalar: alpha0 once per mode, then divide_alpha_by_k."""
+        text = manifest.read_text()
+        line = next(ln for ln in text.splitlines() if ln.startswith("alpha0="))
+        manifest.write_text(text.replace(
+            line + "\n", f"alpha0={alpha0}\ndivide_alpha_by_k={divide}\n"))
+
+    def test_older_layout_loads_and_resumes(self, tmp_path):
+        train = SparseCountTensor.from_entries(
+            (4, 3, 2), {(0, 0, 0): 3, (1, 2, 1): 1, (3, 1, 0): 2})
+        init = init_canonical(train.shape, 3, Hyperparameters(alpha0=0.3), seed=4)
+        full = run_chain(train, None, init, ChainConfig(burn_in=0, total=4, thin=1))
+        run_chain(train, None, init, ChainConfig(burn_in=0, total=2, thin=1),
+                  out_dir=tmp_path)
+        self._older_layout(tmp_path / "checkpoint" / "manifest.txt",
+                           "0.3 0.3 0.3", 0)
+        back = load_state(tmp_path / "checkpoint")
+        assert back.hyper == Hyperparameters(alpha0=0.3)
+        resumed = run_chain(train, None, back,
+                            ChainConfig(burn_in=0, total=4, thin=1))
+        assert resumed.iterations == [3, 4]
+        for a, b in zip(full.samples[2:], resumed.samples):
+            assert np.array_equal(a.core_values, b.core_values)
+            assert np.array_equal(a.core_locations, b.core_locations)
+            for m in range(3):
+                assert np.array_equal(a.factors[m], b.factors[m])
+                assert np.array_equal(a.mode_priors[m], b.mode_priors[m])
+
+    @pytest.mark.parametrize("alpha0, divide, key", [
+        ("0.1 0.1", 1, "divide_alpha_by_k"), ("0.1 0.2", 0, "alpha0")])
+    def test_other_models_refused(self, tmp_path, alpha0, divide, key):
+        save_state(init_canonical((3, 3), Q=2, seed=0), tmp_path / "st")
+        self._older_layout(tmp_path / "st" / "manifest.txt", alpha0, divide)
+        with pytest.raises(ValueError, match=key):
+            load_state(tmp_path / "st")
 
     def test_corruption_detected(self, tmp_path):
         state = init_canonical((3, 3), Q=2, seed=0)
@@ -322,8 +361,7 @@ class TestHyperparameters:
 
     def test_alpha_vector_variants(self):
         h = Hyperparameters(alpha0=0.4)
-        assert np.allclose(h.alpha_vector(0, 4), 0.4)
-        h = Hyperparameters(alpha0=(0.4, 0.8))
-        assert np.allclose(h.alpha_vector(1, 2), 0.8)
-        h = Hyperparameters(alpha0=0.4, divide_alpha_by_k=True)
-        assert np.allclose(h.alpha_vector(0, 4), 0.1)
+        assert np.array_equal(h.alpha_vector(4), np.full(4, 0.4))
+        h = Hyperparameters(alpha0=2)
+        assert h.alpha_vector(3).dtype == np.float64
+        assert np.array_equal(h.alpha_vector(3), [2.0, 2.0, 2.0])

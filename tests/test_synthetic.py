@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ class TestGenerate:
                                  true_budget=1, seed=0)
         devs = []
         for seed in range(60):
-            tensor, truth = generate(config, seed=seed)
+            tensor, truth = generate(replace(config, seed=seed))
             lam = truth.state.core_values[0]
             mean = 125.0 * lam
             devs.append((tensor.total() - mean) / math.sqrt(mean))
@@ -53,7 +54,7 @@ class TestGenerate:
         config = default_config()
         inside = 0
         for seed in range(200):
-            tensor, truth = generate(config, seed=seed)
+            tensor, truth = generate(replace(config, seed=seed))
             mean = expected_total(truth)
             if abs(tensor.total() - mean) <= 4 * math.sqrt(mean):
                 inside += 1
@@ -63,7 +64,7 @@ class TestGenerate:
         config = default_config()
         size = math.prod(config.shape)
         sparse_enough = sum(
-            generate(config, seed=seed)[0].nnz / size < 0.1
+            generate(replace(config, seed=seed))[0].nnz / size < 0.1
             for seed in range(200))
         assert sparse_enough >= 190
 
@@ -105,12 +106,14 @@ class TestRecoveryTrace:
 
     def test_exports(self, tmp_path):
         states = [init_canonical((4, 4), 3, seed=s) for s in range(3)]
-        post = PosteriorSamples(samples=states, iterations=[10, 20, 30])
+        for s, state in enumerate(states):
+            state.next_iteration = 10 * (s + 1) + 1
+        post = PosteriorSamples(samples=states)
         write_trace(post, tmp_path / "trace.tsv")
         write_histograms(post, tmp_path / "hist.tsv")
         trace = (tmp_path / "trace.tsv").read_text().splitlines()
         assert trace[0] == "sample\titeration\tk_eff_1\tk_eff_2\tq_eff"
-        assert len(trace) == 4
+        assert [row.split("\t")[1] for row in trace[1:]] == ["10", "20", "30"]
         hist = (tmp_path / "hist.tsv").read_text().splitlines()
         assert hist[0] == "statistic\tvalue\tcount"
         assert any(line.startswith("q_eff") for line in hist[1:])

@@ -216,6 +216,13 @@ class TestFiberMask:
         assert back.free_mode == mask.free_mode
         assert np.array_equal(back.stems, mask.stems)
 
+    @pytest.mark.parametrize("value", ["two", "2.0", "0", "-1"])
+    def test_bad_free_mode_names_the_line(self, tmp_path, value):
+        path = tmp_path / "mask.txt"
+        path.write_text(f"# held-out fibers\nfree_mode={value}\n1 1\n")
+        with pytest.raises(ValueError, match=r"mask\.txt:2: .*free_mode"):
+            load_mask(path)
+
     def test_unique_stems_required(self):
         with pytest.raises(ValueError, match="unique"):
             FiberMask(0, np.array([[1, 2], [1, 2]]))
