@@ -155,14 +155,15 @@ def cmd_ingest(args, argv) -> int:
 def cmd_mask(args, argv) -> int:
     tensor = load_coo(args.data)
     free_mode = _free_mode(args.mask_mode, tensor.ndim)
+    # every mask is drawn, and so checked, before anything is written
+    masks = [make_fiber_mask(tensor, free_mode, args.mask_frac, args.mask_seed + i)
+             for i in range(args.num_masks)]
     os.makedirs(args.out, exist_ok=True)
-    for i in range(args.num_masks):
-        seed = args.mask_seed + i
-        mask = make_fiber_mask(tensor, free_mode, args.mask_frac, seed)
+    for i, mask in enumerate(masks):
         path = os.path.join(args.out, f"mask_{i + 1:02d}.txt")
         write_mask(mask, path)
         train, heldout = split(tensor, mask)
-        print(f"mask_{i + 1:02d}: seed={seed} stems={mask.n_stems} "
+        print(f"mask_{i + 1:02d}: seed={args.mask_seed + i} stems={mask.n_stems} "
               f"train_nnz={train.nnz} heldout_cells={heldout.n_cells} "
               f"heldout_positive={heldout.positive().n_cells}")
     _write_manifest(args.out, "mask", argv, {

@@ -64,7 +64,9 @@ class LatentSources:
     ``per_cell[i, q]`` splits the i-th training count across classes;
     ``totals[q]`` sums it over cells; ``mode_marginals[m][d, q]`` sums it
     over cells whose mode-m coordinate is d. They do not depend on the core
-    locations, so moving a location leaves them valid.
+    locations, so moving a location leaves them valid. ``per_cell`` is the
+    transposed view of thinning's q-major (Q, nnz) table, so it is not
+    C-contiguous.
     """
 
     per_cell: np.ndarray
@@ -84,32 +86,42 @@ def thin_counts(state: ModelState, train: SparseCountTensor,
                 rng: np.random.Generator) -> LatentSources:
     """Split every observed count into per-class sources by its multinomial
     complete conditional, with probabilities proportional to the per-class
-    rates. Zero cells carry no sources. O(nnz * Q * M)."""
+    rates. Zero cells carry no sources. O(nnz * Q * M). The work runs
+    q-major, on C-ordered (Q, nnz) tables of probabilities and then of
+    draws; at most two nnz x Q tables are alive at once."""
     if train.shape != state.shape:
         raise ValueError("training tensor shape does not match state")
     Q = state.Q
-    per_cell = np.zeros((train.nnz, Q), dtype=np.int64)
-    p = cell_rates(state, train.coords)
-    suffix = np.cumsum(p[:, ::-1], axis=1)[:, ::-1]
-    if not np.isfinite(suffix[:, 0]).all() or (suffix[:, 0] <= 0).any():
+    p = np.ascontiguousarray(cell_rates(state, train.coords).T)
+    # p[q] becomes rate_q / (rate_q + ... + rate_{Q-1}), in [0, 1]: a
+    # rounded sum of non-negative terms is never below one of them, and
+    # where a suffix underflowed to 0 its own rate is 0 and stays so. The
+    # suffix adds from the last row down, as a cumsum of the reversed row.
+    suffix = p[Q - 1]
+    for q in range(Q - 2, -1, -1):
+        suffix = suffix + p[q]
+        np.divide(p[q], suffix, out=p[q], where=suffix > 0)
+    if not np.isfinite(suffix).all() or (suffix <= 0).any():
         raise RuntimeError(
             "thinning rates vanished or blew up; state positivity is broken")
-    # p[:, q] becomes rate_q / (rate_q + ... + rate_{Q-1}), in [0, 1]: a
-    # rounded sum of non-negative terms is never below one of them, and
-    # where a suffix underflowed to 0 its own rate is 0 and stays so.
-    np.divide(p, suffix, out=p, where=suffix > 0)
-    del suffix
+    draws = np.empty((Q, train.nnz), dtype=np.int64)
     remaining = train.counts.copy()
     for q in range(Q - 1):
-        draw = rng.binomial(remaining, np.ascontiguousarray(p[:, q]))
-        per_cell[:, q] = draw
-        remaining -= draw
-    per_cell[:, Q - 1] = remaining
-
-    return LatentSources(
-        per_cell=per_cell, totals=per_cell.sum(axis=0),
-        mode_marginals=[_scatter_add(train.coords[:, m], per_cell, d)
-                        for m, d in enumerate(state.shape)])
+        draws[q] = rng.binomial(remaining, p[q])
+        remaining -= draws[q]
+    draws[Q - 1] = remaining
+    del p
+    # Float weights are exact: each sum is an integer no larger than the
+    # tensor's total count, below 2**53 (the gamma shapes read these counts
+    # as floats in any case).
+    keys = np.ascontiguousarray(train.coords.T)
+    marginals = [np.empty((d, Q)) for d in state.shape]
+    for q, row in enumerate(draws):
+        weights = row.astype(np.float64)
+        for m, d in enumerate(state.shape):
+            marginals[m][:, q] = np.bincount(keys[m], weights=weights, minlength=d)
+    return LatentSources(per_cell=draws.T, totals=draws.sum(axis=1),
+                         mode_marginals=[g.astype(np.int64) for g in marginals])
 
 
 class MaskCorrections:

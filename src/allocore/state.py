@@ -295,8 +295,8 @@ def cell_rates(state: ModelState, coords: np.ndarray) -> np.ndarray:
     """Per-class Poisson rates at the given cells: out[i, q] is the rate the
     q-th core entry contributes to cell i, ``values[q] * T_0[c_0, q] *
     T_1[c_1, q] * ...`` from the class tables of ``class_tables``, values
-    first and then the modes in ascending order. The output is C-contiguous
-    and writable. O(n * Q * M)."""
+    first and then the modes in ascending order. The output is C-contiguous.
+    O(n * Q * M)."""
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, state.M)
     return rate_product(state.core_values, class_tables(state), coords.T)
 

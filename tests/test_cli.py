@@ -93,6 +93,7 @@ class TestMask:
                      "--mask-frac", "1.5", "--out", tmp_path / "m")
         assert rc == 2
         assert "fraction" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
 
 
 class TestFit:

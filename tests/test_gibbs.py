@@ -1,5 +1,6 @@
 import itertools
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -52,6 +53,56 @@ def random_instance(seed, shape=(6, 5, 4), Q=4, n=12, max_count=9):
     state = init_explicit(shape, (3, 4, 3)[: len(shape)], Q, "allocore",
                           Hyperparameters(f0=1.0), seed=seed)
     return train, state
+
+
+class RecordingRng:
+    """Delegates to a generator and keeps the n and p of every binomial
+    call, so two thinning algorithms can be shown to consume one stream."""
+
+    def __init__(self, seed):
+        self.rng = substream(seed, 1, THIN_BLOCK)
+        self.calls = []
+
+    def binomial(self, n, p):
+        self.calls.append((np.array(n), np.array(p)))
+        return self.rng.binomial(n, p)
+
+
+def cell_major_thin(state, train, rng):
+    """Reference: thinning on (nnz, Q) tables as it was first written, with
+    a reversed-row cumsum for the suffixes, one binomial per column and
+    np.add.at marginals."""
+    Q = state.Q
+    per_cell = np.zeros((train.nnz, Q), dtype=np.int64)
+    p = cell_rates(state, train.coords)
+    suffix = np.cumsum(p[:, ::-1], axis=1)[:, ::-1]
+    np.divide(p, suffix, out=p, where=suffix > 0)
+    remaining = train.counts.copy()
+    for q in range(Q - 1):
+        draw = rng.binomial(remaining, np.ascontiguousarray(p[:, q]))
+        per_cell[:, q] = draw
+        remaining -= draw
+    per_cell[:, Q - 1] = remaining
+    marginals = []
+    for m, d in enumerate(state.shape):
+        marg = np.zeros((d, Q), dtype=np.int64)
+        np.add.at(marg, train.coords[:, m], per_cell)
+        marginals.append(marg)
+    return per_cell, per_cell.sum(axis=0), marginals
+
+
+def assert_thins_like_cell_major(state, train, seed):
+    got_rng, ref_rng = RecordingRng(seed), RecordingRng(seed)
+    src = thin_counts(state, train, got_rng)
+    per_cell, totals, marginals = cell_major_thin(state, train, ref_rng)
+    assert len(got_rng.calls) == len(ref_rng.calls) == state.Q - 1
+    for (n, p), (n_ref, p_ref) in zip(got_rng.calls, ref_rng.calls):
+        assert np.array_equal(n, n_ref) and np.array_equal(p, p_ref)
+    pairs = [(src.per_cell, per_cell), (src.totals, totals)]
+    pairs += list(zip(src.mode_marginals, marginals, strict=True))
+    for got, want in pairs:
+        assert got.dtype == np.int64
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 class TestThinning:
@@ -129,6 +180,54 @@ class TestThinning:
             src = thin_counts(state, train, substream(0, 1, THIN_BLOCK))
         assert np.array_equal(src.per_cell, [[6, 0]])
         assert np.array_equal(src.totals, [6, 0])
+
+    @pytest.mark.parametrize("M", [2, 3, 4])
+    @pytest.mark.parametrize("Q", [1, 2, 7, 40])
+    def test_equals_cell_major_reference(self, M, Q):
+        rng = np.random.default_rng(100 * M + Q)
+        shape = tuple(int(d) for d in rng.integers(3, 9, size=M))
+        cells = np.unique(rng.integers(0, shape, size=(80, M)), axis=0)
+        train = SparseCountTensor(shape, cells, rng.integers(1, 60, len(cells)))
+        state = init_explicit(shape, (3, 4, 3, 2)[:M], Q, "allocore", seed=M)
+        state.core_values[:] = rng.gamma(0.5, 1.0, Q)
+        assert_thins_like_cell_major(state, train, seed=Q)
+
+    def test_equals_cell_major_reference_on_empty_and_underflowed(self):
+        # class 0 has rate 1 everywhere; classes 1 and 2 sit on factor
+        # columns that are TINY in mode 1, and in mode 0 at rows 0 and 2,
+        # so there both their rates and their suffix sums underflow to 0
+        state = init_explicit((3, 2), (2, 2), 3, "allocore", seed=0)
+        state.core_locations[:] = [[0, 0], [1, 1], [1, 1]]
+        state.core_values[:] = [1.0, 2.0, 3.0]
+        state.factors[0][:] = [[1.0, TINY], [1.0, 1.0], [1.0, TINY]]
+        state.factors[1][:] = [[1.0, TINY], [1.0, TINY]]
+        train = SparseCountTensor.from_entries(
+            (3, 2), {(0, 0): 6, (0, 1): 2, (1, 0): 9, (1, 1): 1, (2, 1): 4})
+        suffix = cell_rates(state, train.coords)[:, 1:].sum(axis=1)
+        assert (suffix == 0).any() and (suffix > 0).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_thins_like_cell_major(state, train, seed=0)
+        empty = SparseCountTensor((3, 2), np.zeros((0, 2), dtype=np.int64),
+                                  np.zeros(0, dtype=np.int64))
+        assert_thins_like_cell_major(state, empty, seed=0)
+
+    def test_peak_allocation_is_two_tables(self):
+        # NumPy reports its buffers to tracemalloc, so this counts
+        # allocations, not resident memory, and repeats exactly
+        rng = np.random.default_rng(0)
+        shape, Q = (100, 100, 20), 64
+        keys = np.sort(rng.choice(np.prod(shape), size=60_000, replace=False))
+        cells = np.stack(np.unravel_index(keys, shape), axis=1)
+        train = SparseCountTensor(shape, cells, rng.integers(1, 40, len(cells)))
+        state = init_canonical(shape, Q, seed=0)
+        tracemalloc.start()
+        try:
+            thin_counts(state, train, substream(0, 1, THIN_BLOCK))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * train.nnz * Q * 8
 
 
 class TestAggregateConsistency:

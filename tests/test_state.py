@@ -227,7 +227,7 @@ class TestCellRates:
         rates = cell_rates(state, coords)
         assert np.array_equal(rates, fancy_gather_rates(state, coords))
         assert rates.shape == (n, 11)
-        # thin_counts divides the table in place
+        # a fresh table: callers may transpose, copy or write it
         assert rates.flags.c_contiguous and rates.flags.writeable
 
 

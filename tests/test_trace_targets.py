@@ -6,6 +6,7 @@ one-sweep chain."""
 import os
 
 from allocore import gibbs, init_canonical, make_fiber_mask, split
+from allocore.state import THIN_BLOCK, substream
 from allocore.synthetic import SyntheticConfig, generate
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -45,7 +46,16 @@ def test_traced_masked_sweep_records_every_layer(tmp_path, monkeypatch):
     # one all-q call per mode for the locations and one per mode for phi
     assert stats["gibbs.mask.mode_weights"]["calls"] == 2 * X.ndim
     assert recorder.counts["gibbs.thin_counts.draws"] == train.nnz * (init.Q - 1)
-    assert 0 < recorder.counts["gibbs.thin_counts.live"]
+    # the chain's one sweep thins with the (seed 1, iteration 1) stream;
+    # a draw is live when the count it splits has something left
+    per_cell = gibbs.thin_counts(init, train, substream(1, 1, THIN_BLOCK)).per_cell
+    live = 0
+    for count, row in zip(train.counts, per_cell):
+        remaining = count
+        for q in range(init.Q - 1):
+            live += int(remaining > 0)
+            remaining -= row[q]
+    assert 0 < live == recorder.counts["gibbs.thin_counts.live"]
     for (mod, attr), original in originals.items():
         assert _owner(mod).__dict__[attr] is original
 
