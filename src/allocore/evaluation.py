@@ -4,14 +4,19 @@ The pointwise predictive density averages each heldout cell's Poisson mass
 over the saved posterior states in probability space (via log-sum-exp), then
 takes the geometric mean over cells.
 
-The log masses are streamed over blocks of about a megabyte of rates, so no
-(n_cells, Q) or (S, n_cells) table is ever held. A heldout set written by
-``split`` carries its fiber layout: all cells of a fiber share their stem, so
-a block of stems is scored from each sample's class tables as a (stems,
-D_free, Q) product, the stem rows times the whole free-mode table. A set
-without a layout (such as ``HeldoutSet.positive()``) is scored cell by cell
-through ``reconstruct_cells``. Both give the same bits as scoring every cell
-on its own with one log-sum-exp over all cells.
+The log masses are streamed over blocks of about a megabyte of rates (the
+block size of ``state.cell_rates``), so no (n_cells, Q) or (S, n_cells)
+table is ever held. A heldout set written by ``split`` carries its fiber
+layout: all cells of a fiber share their stem, so a block of stems is scored
+from each sample's class tables as a (stems, D_free, Q) product, the stem
+rows times the whole free-mode table. A set without a layout (such as
+``HeldoutSet.positive()``) is scored cell by cell through
+``reconstruct_cells``. Both give the same bits as scoring every cell on its
+own with one log-sum-exp over all cells.
+
+``train_loglik`` scores one sample at a time over every training non-zero.
+It holds that sample's (nnz, Q) rate table, which ``cell_rates`` fills in
+row blocks, so its peak is one table.
 """
 
 from __future__ import annotations
@@ -25,8 +30,8 @@ import numpy as np
 from scipy.special import gammaln, logsumexp, xlogy
 
 from .gibbs import PosteriorSamples, proportional_train_loglik
-from .state import (ModelState, class_tables, load_state, rate_product,
-                    reconstruct_cells)
+from .state import (_BLOCK_BYTES, ModelState, class_tables, load_state,
+                    rate_product, reconstruct_cells)
 from .tensors import FiberMask, HeldoutSet, SparseCountTensor
 
 __all__ = [
@@ -51,17 +56,12 @@ def poisson_logpmf(counts: np.ndarray, rates: np.ndarray) -> np.ndarray:
     return xlogy(counts, rates) - rates - gammaln(counts + 1.0)
 
 
-# Bytes of one sample's rate block: big enough that NumPy's per-call cost
-# vanishes, small enough that the block stays in cache.
-_BLOCK_BYTES = 1 << 20
-
-
 def _blocks(n_units: int, unit_cells: int, Q: int):
     """(lo, hi) ranges of units (cells or fibers of ``unit_cells`` cells)
-    holding about ``_BLOCK_BYTES`` of rates each. No block is a single cell
-    unless the set is: logsumexp sums the samples of several columns row by
-    row but those of one column pairwise, which changes the bits from
-    S = 9 on."""
+    holding about ``_BLOCK_BYTES`` of one sample's rates each. No block is
+    a single cell unless the set is: logsumexp sums the samples of several
+    columns row by row but those of one column pairwise, which changes the
+    bits from S = 9 on."""
     step = max(_BLOCK_BYTES // (8 * Q * unit_cells), 2 if unit_cells == 1 else 1)
     edges = list(range(0, n_units, step)) + [n_units]
     if len(edges) > 2 and (edges[-1] - edges[-2]) * unit_cells == 1:

@@ -30,6 +30,7 @@ from .state import (
     ModelState,
     cell_rates,
     effective_dims,
+    row_blocks,
     save_state,
     substream,
 )
@@ -88,11 +89,17 @@ def thin_counts(state: ModelState, train: SparseCountTensor,
     complete conditional, with probabilities proportional to the per-class
     rates. Zero cells carry no sources. O(nnz * Q * M). The work runs
     q-major, on C-ordered (Q, nnz) tables of probabilities and then of
-    draws; at most two nnz x Q tables are alive at once."""
+    draws; the cell-major rates are transposed into the first in row
+    blocks that stay in cache, and at most two nnz x Q tables are alive at
+    once."""
     if train.shape != state.shape:
         raise ValueError("training tensor shape does not match state")
     Q = state.Q
-    p = np.ascontiguousarray(cell_rates(state, train.coords).T)
+    rates = cell_rates(state, train.coords)
+    p = np.empty((Q, train.nnz))
+    for lo, hi in row_blocks(train.nnz, Q):
+        p[:, lo:hi] = rates[lo:hi].T
+    del rates
     # p[q] becomes rate_q / (rate_q + ... + rate_{Q-1}), in [0, 1]: a
     # rounded sum of non-negative terms is never below one of them, and
     # where a suffix underflowed to 0 its own rate is 0 and stays so. The
@@ -463,8 +470,8 @@ def run_chain(train: SparseCountTensor, mask: FiberMask | None,
                           substream(seed, it, LAMBDA_BLOCK))
             sample_phi(state, sources, corrections, substream(seed, it, PHI_BLOCK))
             sample_pi(state, substream(seed, it, PI_BLOCK))
-            # The log row's cell_rates and the next thinning each build an
-            # nnz x Q table; without this they would run beside per_cell.
+            # The log row holds one nnz x Q table and the next thinning two;
+            # without this per_cell would be alive beside them.
             del sources
             state.next_iteration = it + 1
             elapsed = time.perf_counter() - t0

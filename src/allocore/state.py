@@ -48,6 +48,10 @@ INIT_BLOCK, THIN_BLOCK, LOCATION_BLOCK, LAMBDA_BLOCK, PHI_BLOCK, PI_BLOCK, DATA_
 
 STATE_FORMAT_VERSION = 1
 
+# Bytes of one block of rates: big enough that NumPy's per-call cost
+# vanishes, small enough that the block stays in cache.
+_BLOCK_BYTES = 1 << 20
+
 
 class IntegrityError(RuntimeError):
     """A state directory failed its checksum or internal consistency check."""
@@ -291,14 +295,26 @@ def rate_product(values: np.ndarray, tables: list[np.ndarray],
     return rates
 
 
+def row_blocks(n: int, Q: int):
+    """(lo, hi) ranges that cut the rows of an (n, Q) float64 table into
+    blocks of about ``_BLOCK_BYTES``, at least one row each."""
+    step = max(_BLOCK_BYTES // (8 * Q), 1)
+    return ((lo, min(lo + step, n)) for lo in range(0, n, step))
+
+
 def cell_rates(state: ModelState, coords: np.ndarray) -> np.ndarray:
     """Per-class Poisson rates at the given cells: out[i, q] is the rate the
     q-th core entry contributes to cell i, ``values[q] * T_0[c_0, q] *
     T_1[c_1, q] * ...`` from the class tables of ``class_tables``, values
-    first and then the modes in ascending order. The output is C-contiguous.
-    O(n * Q * M)."""
+    first and then the modes in ascending order. The output is C-contiguous
+    and filled in row blocks of ``row_blocks``, so a call holds only
+    the one (n, Q) table plus a block's gathers. O(n * Q * M)."""
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, state.M)
-    return rate_product(state.core_values, class_tables(state), coords.T)
+    tables = class_tables(state)
+    out = np.empty((coords.shape[0], state.Q))
+    for lo, hi in row_blocks(coords.shape[0], state.Q):
+        out[lo:hi] = rate_product(state.core_values, tables, coords[lo:hi].T)
+    return out
 
 
 def reconstruct_cells(state: ModelState, coords: np.ndarray) -> np.ndarray:

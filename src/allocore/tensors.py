@@ -8,6 +8,7 @@ happens only at the I/O boundary.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -272,26 +273,39 @@ def write_coo(tensor: SparseCountTensor, path) -> None:
             f.write(" ".join(str(int(v) + 1) for v in row) + f" {int(c)}\n")
 
 
-def load_coo(path) -> SparseCountTensor:
-    shape = None
-    M = 0
+def _coo_lines(f):
+    """(1-based line number, stripped text) of each line that is neither
+    blank nor a '#' comment."""
+    for ln, raw in enumerate(f, 1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield ln, line
+
+
+def _coo_header(path, lines) -> tuple[int, ...]:
+    """The shape from the first line of ``lines``."""
+    for ln, line in lines:
+        tok = line.split()
+        try:
+            M = int(tok[0])
+            dims = [int(t) for t in tok[1:]]
+        except ValueError:
+            raise ValueError(f"{path}:{ln}: malformed header") from None
+        if M < 1 or len(dims) != M or any(d <= 0 for d in dims):
+            raise ValueError(f"{path}:{ln}: malformed header")
+        return tuple(dims)
+    raise ValueError(f"{path}: missing header line")
+
+
+def _load_coo_lines(path) -> SparseCountTensor:
+    """``load_coo`` one line at a time, naming the first bad line."""
     entries = []
     with open(path) as f:
-        for ln, raw in enumerate(f, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        lines = _coo_lines(f)
+        shape = _coo_header(path, lines)
+        M = len(shape)
+        for ln, line in lines:
             tok = line.split()
-            if shape is None:
-                try:
-                    M = int(tok[0])
-                    dims = [int(t) for t in tok[1:]]
-                except ValueError:
-                    raise ValueError(f"{path}:{ln}: malformed header") from None
-                if M < 1 or len(dims) != M or any(d <= 0 for d in dims):
-                    raise ValueError(f"{path}:{ln}: malformed header")
-                shape = tuple(dims)
-                continue
             if len(tok) != M + 1:
                 raise ValueError(f"{path}:{ln}: expected {M + 1} fields, got {len(tok)}")
             try:
@@ -304,9 +318,35 @@ def load_coo(path) -> SparseCountTensor:
             if count <= 0:
                 raise ValueError(f"{path}:{ln}: count must be positive")
             entries.append((tuple(c - 1 for c in coords), count))
-    if shape is None:
-        raise ValueError(f"{path}: missing header line")
     return SparseCountTensor.from_entries(shape, entries)
+
+
+def load_coo(path) -> SparseCountTensor:
+    """Read a COO file, summing duplicate coordinates. The body is parsed
+    and checked in bulk; a body that fails to parse (a '#' comment after
+    the header among them) or to check is read again line by line, which
+    names the first bad line."""
+    with open(path) as f:
+        shape = _coo_header(path, _coo_lines(f))
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # an empty body only warns
+                body = np.loadtxt(f, dtype=np.int64, comments=None, ndmin=2)
+        except (ValueError, Warning):
+            return _load_coo_lines(path)
+    M = len(shape)
+    if body.shape[1] != M + 1:
+        return _load_coo_lines(path)
+    coords, counts = body[:, :M] - 1, body[:, M]
+    if (coords.min() < 0 or (coords >= shape).any() or counts.min() <= 0
+            # sums of duplicates must not wrap
+            or counts.max() > np.iinfo(np.int64).max // len(counts)):
+        return _load_coo_lines(path)
+    order = np.lexsort(coords.T[::-1])
+    coords, counts = coords[order], counts[order]
+    starts = np.flatnonzero(np.concatenate(
+        ([True], (coords[1:] != coords[:-1]).any(axis=1))))
+    return SparseCountTensor(shape, coords[starts], np.add.reduceat(counts, starts))
 
 
 def write_mask(mask: FiberMask, path) -> None:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from allocore import state as state_module
 from allocore.gibbs import (
     ChainConfig,
     MaskCorrections,
@@ -36,6 +37,7 @@ from allocore.state import (
     init_canonical,
     init_explicit,
     load_state,
+    row_blocks,
     substream,
 )
 from allocore.tensors import FiberMask, SparseCountTensor, split
@@ -103,6 +105,29 @@ def assert_thins_like_cell_major(state, train, seed):
     for got, want in pairs:
         assert got.dtype == np.int64
         assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def peak_instance():
+    """60,000 non-zeros at Q = 64: one nnz x Q table is 30.7 MB, far above
+    the block-sized temporaries."""
+    rng = np.random.default_rng(0)
+    shape, Q = (100, 100, 20), 64
+    keys = np.sort(rng.choice(np.prod(shape), size=60_000, replace=False))
+    cells = np.stack(np.unravel_index(keys, shape), axis=1)
+    train = SparseCountTensor(shape, cells, rng.integers(1, 40, len(cells)))
+    return train, init_canonical(shape, Q, seed=0)
+
+
+def traced_peak(fn, *args):
+    """Peak bytes allocated during ``fn(*args)``. NumPy reports its buffers
+    to tracemalloc, so this counts allocations, not resident memory, and
+    repeats exactly."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestThinning:
@@ -182,14 +207,21 @@ class TestThinning:
         assert np.array_equal(src.totals, [6, 0])
 
     @pytest.mark.parametrize("M", [2, 3, 4])
-    @pytest.mark.parametrize("Q", [1, 2, 7, 40])
-    def test_equals_cell_major_reference(self, M, Q):
+    # with blocks of 5 rows the rate table and its transposed copy cross
+    # block boundaries, the last block mostly short
+    @pytest.mark.parametrize("Q, block_rows", [
+        pytest.param(Q, rows, id=str(Q) if rows is None else f"{Q}-blocks{rows}")
+        for Q in (1, 2, 7, 40) for rows in (None, 5)])
+    def test_equals_cell_major_reference(self, M, Q, block_rows, monkeypatch):
         rng = np.random.default_rng(100 * M + Q)
         shape = tuple(int(d) for d in rng.integers(3, 9, size=M))
         cells = np.unique(rng.integers(0, shape, size=(80, M)), axis=0)
         train = SparseCountTensor(shape, cells, rng.integers(1, 60, len(cells)))
         state = init_explicit(shape, (3, 4, 3, 2)[:M], Q, "allocore", seed=M)
         state.core_values[:] = rng.gamma(0.5, 1.0, Q)
+        if block_rows is not None:
+            monkeypatch.setattr(state_module, "_BLOCK_BYTES", 8 * Q * block_rows)
+            assert len(list(row_blocks(train.nnz, Q))) > 2
         assert_thins_like_cell_major(state, train, seed=Q)
 
     def test_equals_cell_major_reference_on_empty_and_underflowed(self):
@@ -213,21 +245,17 @@ class TestThinning:
         assert_thins_like_cell_major(state, empty, seed=0)
 
     def test_peak_allocation_is_two_tables(self):
-        # NumPy reports its buffers to tracemalloc, so this counts
-        # allocations, not resident memory, and repeats exactly
-        rng = np.random.default_rng(0)
-        shape, Q = (100, 100, 20), 64
-        keys = np.sort(rng.choice(np.prod(shape), size=60_000, replace=False))
-        cells = np.stack(np.unravel_index(keys, shape), axis=1)
-        train = SparseCountTensor(shape, cells, rng.integers(1, 40, len(cells)))
-        state = init_canonical(shape, Q, seed=0)
-        tracemalloc.start()
-        try:
-            thin_counts(state, train, substream(0, 1, THIN_BLOCK))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.25 * train.nnz * Q * 8
+        train, state = peak_instance()
+        peak = traced_peak(thin_counts, state, train, substream(0, 1, THIN_BLOCK))
+        assert peak <= 2.25 * train.nnz * state.Q * 8
+
+    def test_rate_table_calls_peak_at_one_table(self):
+        # the table is filled in row blocks, so no full-size gather runs
+        # beside it
+        train, state = peak_instance()
+        table = train.nnz * state.Q * 8
+        assert traced_peak(cell_rates, state, train.coords) <= 1.25 * table
+        assert traced_peak(proportional_train_loglik, state, train) <= 1.25 * table
 
 
 class TestAggregateConsistency:

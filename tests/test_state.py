@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from allocore import state as state_module
 from allocore.gibbs import ChainConfig, run_chain
 from allocore.state import (
     Hyperparameters,
@@ -18,6 +19,7 @@ from allocore.state import (
     load_state,
     reconstruct_at,
     reconstruct_cells,
+    row_blocks,
     save_state,
 )
 from allocore.tensors import SparseCountTensor
@@ -217,13 +219,23 @@ def fancy_gather_rates(state, coords):
 
 class TestCellRates:
     @pytest.mark.parametrize("M", [2, 3, 4, 5])
-    @pytest.mark.parametrize("n", [0, 1, 40])
-    def test_class_tables_equal_fancy_gather(self, M, n):
+    # 40 rows in blocks of 3 (13 full, then 1) or 7 (5 full, then 5)
+    @pytest.mark.parametrize("n, block_rows", [
+        pytest.param(0, None, id="0"),
+        pytest.param(1, None, id="1"),
+        pytest.param(40, None, id="40"),
+        pytest.param(40, 3, id="40-blocks3"),
+        pytest.param(40, 7, id="40-blocks7"),
+    ])
+    def test_class_tables_equal_fancy_gather(self, M, n, block_rows, monkeypatch):
         rng = np.random.default_rng(10 * M + n)
         shape = tuple(int(d) for d in rng.integers(2, 6, size=M))
         K = tuple(int(k) for k in rng.integers(2, 5, size=M))
         state = init_explicit(shape, K, Q=11, core_mode="allocore", seed=M)
         coords = np.stack([rng.integers(0, d, size=n) for d in shape], axis=1)
+        if block_rows is not None:
+            monkeypatch.setattr(state_module, "_BLOCK_BYTES", 8 * 11 * block_rows)
+            assert len(list(row_blocks(n, 11))) == -(-n // block_rows)
         rates = cell_rates(state, coords)
         assert np.array_equal(rates, fancy_gather_rates(state, coords))
         assert rates.shape == (n, 11)

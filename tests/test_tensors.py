@@ -93,6 +93,76 @@ class TestCooFormat:
         with pytest.raises(ValueError, match="header"):
             load_coo(path)
 
+    # A body that parses as a whole (good lines first, or every line with
+    # the same wrong field count) fails only its bulk checks, and the
+    # message must still name the bad line.
+    @pytest.mark.parametrize("text, line, message", [
+        ("# c\n\n2 3 x\n1 1 2\n", 3, "malformed header"),
+        ("2 3\n1 1 2\n", 1, "malformed header"),
+        ("0\n", 1, "malformed header"),
+        ("2 3 -3\n", 1, "malformed header"),
+        ("2 3 3\n1 1 2\n2 2 1\n1 1\n", 4, "expected 3 fields, got 2"),
+        ("2 3 3\n1 1\n2 2\n", 2, "expected 3 fields, got 2"),
+        ("2 3 3\n1 1 2 1\n2 2 1 1\n", 2, "expected 3 fields, got 4"),
+        ("2 3 3\n1 1 2\n2 2 1\n1 1 2 1\n", 4, "expected 3 fields, got 4"),
+        ("2 3 3\n1 1 2\n2 2 1\n1 1 2 # note\n", 4, "expected 3 fields, got 5"),
+        ("2 3 3\n1 1 2\n2 2 1\n1 x 2\n", 4, "non-integer field"),
+        ("2 3 3\n1 1 2\n2 2 1\n1 1 1.5\n", 4, "non-integer field"),
+        ("2 3 3\n1 1 2\n2 2 1\n1 1 3.0\n", 4, "non-integer field"),
+        ("2 3 4\n1 1 2\n2 2 1\n0 1 2\n", 4, "coordinate out of range"),
+        ("2 3 4\n1 1 2\n2 2 1\n1 5 2\n", 4, "coordinate out of range"),
+        ("2 3 4\n1 1 2\n2 2 1\n4 1 2\n", 4, "coordinate out of range"),
+        ("2 3 4\n1 1 2\n2 2 1\n1 2 0\n", 4, "count must be positive"),
+        ("2 3 4\n1 1 2\n2 2 1\n1 2 -4\n", 4, "count must be positive"),
+        ("2 3 4\n1 1 2\n# c\n\n1 2 -4\n", 5, "count must be positive"),
+    ])
+    def test_errors_name_their_line(self, tmp_path, text, line, message):
+        path = tmp_path / "t.coo"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_coo(path)
+        assert str(info.value) == f"{path}:{line}: {message}"
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n\n"])
+    def test_missing_header(self, tmp_path, text):
+        path = tmp_path / "t.coo"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_coo(path)
+        assert str(info.value) == f"{path}: missing header line"
+
+    def test_comments_and_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "t.coo"
+        path.write_text("# a\n\n   \n2 3 4\n# b\n1 1 2\n\n\t\n  # c\n3 4 1\n")
+        t = load_coo(path)
+        assert t.shape == (3, 4)
+        assert t.to_dict() == {(0, 0): 2, (2, 3): 1}
+        path.write_text("2 3 4\n1 1 2\n\n \t\n3 4 1\n\n")
+        assert load_coo(path).to_dict() == {(0, 0): 2, (2, 3): 1}
+        path.write_text("2 3 4\n")
+        assert load_coo(path).nnz == 0
+
+    def test_duplicates_summed(self, tmp_path):
+        path = tmp_path / "t.coo"
+        path.write_text("2 3 4\n1 1 2\n3 4 1\n1 1 5\n2 2 1\n3 4 1\n")
+        t = load_coo(path)
+        assert t.to_dict() == {(0, 0): 7, (1, 1): 1, (2, 3): 2}
+
+    @pytest.mark.parametrize("M", [2, 3, 4])
+    def test_round_trip_many_entries(self, tmp_path, M):
+        rng = np.random.default_rng(M)
+        shape = tuple(int(d) for d in rng.integers(2, 12, size=M))
+        keys = rng.choice(math.prod(shape), size=min(300, math.prod(shape) // 2),
+                          replace=False)
+        coords = np.stack(np.unravel_index(keys, shape), axis=1)
+        tensor = SparseCountTensor(shape, coords, rng.integers(1, 500, len(keys)))
+        path = tmp_path / "t.coo"
+        write_coo(tensor, path)
+        back = load_coo(path)
+        assert back.shape == tensor.shape
+        assert np.array_equal(back.coords, tensor.coords)
+        assert np.array_equal(back.counts, tensor.counts)
+
 
 class TestEvents:
     def _write(self, tmp_path, rows, header="i\tj\tt"):
