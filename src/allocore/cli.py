@@ -30,7 +30,7 @@ from .evaluation import (
 )
 from .gibbs import ChainConfig, run_chain
 from .state import (Hyperparameters, _read_manifest, init_canonical,
-                    init_explicit, load_state, save_state)
+                    init_explicit, load_state, recover_state, save_state)
 from .synthetic import (
     SyntheticConfig,
     default_config,
@@ -226,7 +226,7 @@ def _fit_single(params: dict) -> str:
     K = params["K"]
 
     resume_from = os.path.join(out, "checkpoint")
-    resuming = params["resume"] and os.path.isdir(resume_from)
+    resuming = params["resume"] and recover_state(resume_from)
     if resuming:
         init = load_state(resume_from)
         _check_resume(out, init, params, mask, hyper, K)

@@ -4,9 +4,8 @@ The pointwise predictive density averages each heldout cell's Poisson mass
 over the saved posterior states in probability space (via log-sum-exp), then
 takes the geometric mean over cells.
 
-The log masses are streamed over blocks of about a megabyte of rates (the
-block size of ``state.cell_rates``), so no (n_cells, Q) or (S, n_cells)
-table is ever held. A heldout set written by ``split`` carries its fiber
+The log masses are streamed over blocks of about ``state._BLOCK_BYTES``
+(1 MiB) of rates, so no (n_cells, Q) or (S, n_cells) table is ever held. A heldout set written by ``split`` carries its fiber
 layout: all cells of a fiber share their stem, so a block of stems is scored
 from each sample's class tables as a (stems, D_free, Q) product, the stem
 rows times the whole free-mode table. A set without a layout (such as
@@ -15,8 +14,9 @@ rows times the whole free-mode table. A set without a layout (such as
 own with one log-sum-exp over all cells.
 
 ``train_loglik`` scores one sample at a time over every training non-zero.
-It holds that sample's (nnz, Q) rate table, which ``cell_rates`` fills in
-row blocks, so its peak is one table.
+It holds that sample's q-major rate table from ``cell_rates`` and sums each
+cell's rates with ``cell_sums`` over blocks of cells, so its peak is one
+table.
 """
 
 from __future__ import annotations

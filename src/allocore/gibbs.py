@@ -29,8 +29,8 @@ from .state import (
     TINY,
     ModelState,
     cell_rates,
+    cell_sums,
     effective_dims,
-    row_blocks,
     save_state,
     substream,
 )
@@ -66,8 +66,9 @@ class LatentSources:
     ``totals[q]`` sums it over cells; ``mode_marginals[m][d, q]`` sums it
     over cells whose mode-m coordinate is d. They do not depend on the core
     locations, so moving a location leaves them valid. ``per_cell`` is the
-    transposed view of thinning's q-major (Q, nnz) table, so it is not
-    C-contiguous.
+    transposed view of thinning's q-major (Q, nnz) table, the buffer of
+    ``cell_rates`` with the int64 draws written over the probabilities, so
+    it is not C-contiguous.
     """
 
     per_cell: np.ndarray
@@ -88,18 +89,14 @@ def thin_counts(state: ModelState, train: SparseCountTensor,
     """Split every observed count into per-class sources by its multinomial
     complete conditional, with probabilities proportional to the per-class
     rates. Zero cells carry no sources. O(nnz * Q * M). The work runs
-    q-major, on C-ordered (Q, nnz) tables of probabilities and then of
-    draws; the cell-major rates are transposed into the first in row
-    blocks that stay in cache, and at most two nnz x Q tables are alive at
-    once."""
+    q-major on the one (Q, nnz) table that ``cell_rates`` fills: its rows
+    become the conditional probabilities, and each class's draws are
+    written over its own spent row, so one nnz x Q table is alive at a
+    time."""
     if train.shape != state.shape:
         raise ValueError("training tensor shape does not match state")
     Q = state.Q
-    rates = cell_rates(state, train.coords)
-    p = np.empty((Q, train.nnz))
-    for lo, hi in row_blocks(train.nnz, Q):
-        p[:, lo:hi] = rates[lo:hi].T
-    del rates
+    p = cell_rates(state, train.coords).T
     # p[q] becomes rate_q / (rate_q + ... + rate_{Q-1}), in [0, 1]: a
     # rounded sum of non-negative terms is never below one of them, and
     # where a suffix underflowed to 0 its own rate is 0 and stays so. The
@@ -111,13 +108,13 @@ def thin_counts(state: ModelState, train: SparseCountTensor,
     if not np.isfinite(suffix).all() or (suffix <= 0).any():
         raise RuntimeError(
             "thinning rates vanished or blew up; state positivity is broken")
-    draws = np.empty((Q, train.nnz), dtype=np.int64)
+    # binomial reads row q before its draws replace it
+    draws = p.view(np.int64)
     remaining = train.counts.copy()
     for q in range(Q - 1):
         draws[q] = rng.binomial(remaining, p[q])
         remaining -= draws[q]
     draws[Q - 1] = remaining
-    del p
     # Float weights are exact: each sum is an integer no larger than the
     # tensor's total count, below 2**53 (the gamma shapes read these counts
     # as floats in any case).
@@ -244,7 +241,7 @@ def proportional_train_loglik(state: ModelState, train: SparseCountTensor,
     constant: sum over non-zeros of y*log(yhat) minus the total observed
     rate."""
     rate_total = observed_rate_total(state, corrections)
-    yhat = cell_rates(state, train.coords).sum(axis=1)
+    yhat = cell_sums(cell_rates(state, train.coords))
     if (yhat <= 0).any():
         return float("-inf")
     return float(train.counts @ np.log(yhat)) - rate_total
@@ -470,8 +467,8 @@ def run_chain(train: SparseCountTensor, mask: FiberMask | None,
                           substream(seed, it, LAMBDA_BLOCK))
             sample_phi(state, sources, corrections, substream(seed, it, PHI_BLOCK))
             sample_pi(state, substream(seed, it, PI_BLOCK))
-            # The log row holds one nnz x Q table and the next thinning two;
-            # without this per_cell would be alive beside them.
+            # The log row and the next thinning each hold one nnz x Q
+            # table; without this per_cell would be alive beside it.
             del sources
             state.next_iteration = it + 1
             elapsed = time.perf_counter() - t0

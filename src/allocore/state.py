@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import shutil
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,9 +32,11 @@ __all__ = [
     "class_tables",
     "rate_product",
     "cell_rates",
+    "cell_sums",
     "effective_dims",
     "save_state",
     "load_state",
+    "recover_state",
     "substream",
 ]
 
@@ -295,10 +298,11 @@ def rate_product(values: np.ndarray, tables: list[np.ndarray],
     return rates
 
 
-def row_blocks(n: int, Q: int):
+def row_blocks(n: int, Q: int, block_bytes: int | None = None):
     """(lo, hi) ranges that cut the rows of an (n, Q) float64 table into
-    blocks of about ``_BLOCK_BYTES``, at least one row each."""
-    step = max(_BLOCK_BYTES // (8 * Q), 1)
+    blocks of about ``block_bytes`` (``_BLOCK_BYTES`` by default), at least
+    one row each."""
+    step = max((block_bytes or _BLOCK_BYTES) // (8 * Q), 1)
     return ((lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
@@ -306,19 +310,61 @@ def cell_rates(state: ModelState, coords: np.ndarray) -> np.ndarray:
     """Per-class Poisson rates at the given cells: out[i, q] is the rate the
     q-th core entry contributes to cell i, ``values[q] * T_0[c_0, q] *
     T_1[c_1, q] * ...`` from the class tables of ``class_tables``, values
-    first and then the modes in ascending order. The output is C-contiguous
-    and filled in row blocks of ``row_blocks``, so a call holds only
-    the one (n, Q) table plus a block's gathers. O(n * Q * M)."""
+    first and then the modes in ascending order. O(n * Q * M).
+
+    The table is q-major: the result is the (n, Q) transposed view of a
+    fresh, writable, C-ordered (Q, n) table, so ``cell_rates(...).T`` hands
+    a caller each class's rates as one contiguous row. It is filled in
+    blocks of cells of half ``_BLOCK_BYTES``, where each block's
+    cell-major product and its transposed write stay in cache, so a call
+    holds only the one table plus a block's gathers."""
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, state.M)
     tables = class_tables(state)
-    out = np.empty((coords.shape[0], state.Q))
-    for lo, hi in row_blocks(coords.shape[0], state.Q):
-        out[lo:hi] = rate_product(state.core_values, tables, coords[lo:hi].T)
+    out = np.empty((state.Q, coords.shape[0]))
+    for lo, hi in row_blocks(coords.shape[0], state.Q, _BLOCK_BYTES // 2):
+        out[:, lo:hi] = rate_product(state.core_values, tables, coords[lo:hi].T).T
+    return out.T
+
+
+def _pairwise_rows(rows: np.ndarray) -> np.ndarray:
+    """Sum of the rows of a (Q, w) array in NumPy's pairwise order for a
+    contiguous reduction of Q terms: under 8 terms one by one; up to 128,
+    eight accumulators over terms i, i + 8, ..., combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the tail one by
+    one; above 128, the two halves split at a multiple of 8."""
+    n = rows.shape[0]
+    if n < 8:
+        res = rows[0].copy()
+        for row in rows[1:]:
+            res += row
+        return res
+    if n <= 128:
+        r = rows[:8].copy()
+        end = n - n % 8
+        for i in range(8, end, 8):
+            r += rows[i:i + 8]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for row in rows[end:]:
+            res += row
+        return res
+    half = n // 2 - (n // 2) % 8
+    return _pairwise_rows(rows[:half]) + _pairwise_rows(rows[half:])
+
+
+def cell_sums(rates: np.ndarray) -> np.ndarray:
+    """Per-cell totals of a ``cell_rates`` table, read along its contiguous
+    q-major rows: equal bit for bit to ``sum(axis=1)`` of a C-ordered copy,
+    whose rows NumPy adds pairwise. Runs over blocks of cells whose eight
+    accumulators fill about ``_BLOCK_BYTES``."""
+    by_class = rates.T
+    out = np.empty(by_class.shape[1])
+    for lo, hi in row_blocks(by_class.shape[1], 8):
+        out[lo:hi] = _pairwise_rows(by_class[:, lo:hi])
     return out
 
 
 def reconstruct_cells(state: ModelState, coords: np.ndarray) -> np.ndarray:
-    return cell_rates(state, coords).sum(axis=1)
+    return cell_sums(cell_rates(state, coords))
 
 
 def reconstruct_at(state: ModelState, d) -> float:
@@ -328,7 +374,7 @@ def reconstruct_at(state: ModelState, d) -> float:
         raise ValueError("cell index must have one coordinate per mode")
     if (d < 0).any() or (d >= np.asarray(state.shape)).any():
         raise ValueError(f"cell index {tuple(d)} out of range for shape {state.shape}")
-    return float(cell_rates(state, d[None, :])[0].sum())
+    return float(cell_sums(cell_rates(state, d[None, :]))[0])
 
 
 def effective_dims(state: ModelState) -> tuple[int, tuple[int, ...]]:
@@ -343,7 +389,8 @@ def effective_dims(state: ModelState) -> tuple[int, tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # State directory format: manifest.txt (key=value) plus one factor matrix per
 # mode, the allocated core entries, and the location-prior simplexes. Data
-# files are covered by a SHA-256 checksum recorded in the manifest.
+# files are covered by a SHA-256 checksum recorded in the manifest. A save
+# writes a temp directory beside the target and swaps it in.
 # ---------------------------------------------------------------------------
 
 def _data_files(m: int) -> list[str]:
@@ -358,8 +405,47 @@ def _checksum(dirpath, names) -> str:
     return h.hexdigest()
 
 
+def _beside(dirpath) -> tuple[str, str]:
+    """The temp and old directories a save of ``dirpath`` uses, hidden
+    beside it so that no ``sample_*`` listing sees them."""
+    head, name = os.path.split(os.path.normpath(os.fspath(dirpath)))
+    return os.path.join(head, f".{name}.tmp"), os.path.join(head, f".{name}.old")
+
+
+def recover_state(dirpath) -> bool:
+    """Clear what a ``save_state`` stopped partway left beside ``dirpath``.
+    A temp directory is removed. An old directory is the previous state,
+    whole: it is moved back if ``dirpath`` is missing (the stop fell between
+    the two renames) and removed otherwise. Returns whether a state
+    directory is at ``dirpath``."""
+    tmp, old = _beside(dirpath)
+    if os.path.isdir(old) and not os.path.isdir(dirpath):
+        os.rename(old, dirpath)
+    for leftover in (tmp, old):
+        if os.path.isdir(leftover):
+            shutil.rmtree(leftover)
+    return os.path.isdir(dirpath)
+
+
 def save_state(state: ModelState, dirpath) -> None:
-    os.makedirs(dirpath, exist_ok=True)
+    """Write ``state`` to the directory ``dirpath``, replacing the state
+    there. The files go into a temp directory beside it; then the old
+    directory is renamed aside, the new one renamed in, and the old one
+    removed. A write stopped at any point leaves either state whole, where
+    ``recover_state`` finds it."""
+    recover_state(dirpath)
+    tmp, old = _beside(dirpath)
+    _write_state(state, tmp)
+    replacing = os.path.isdir(dirpath)
+    if replacing:
+        os.rename(dirpath, old)
+    os.rename(tmp, dirpath)
+    if replacing:
+        shutil.rmtree(old)
+
+
+def _write_state(state: ModelState, dirpath) -> None:
+    os.makedirs(dirpath)
     for m, f in enumerate(state.factors):
         np.savetxt(os.path.join(dirpath, f"factors_{m + 1}.txt"), f, fmt="%.17g")
     with open(os.path.join(dirpath, "core.txt"), "w") as f:
@@ -404,6 +490,7 @@ def _read_manifest(dirpath) -> dict[str, str]:
 
 
 def load_state(dirpath) -> ModelState:
+    recover_state(dirpath)
     man = _read_manifest(dirpath)
     try:
         version = int(man["version"])

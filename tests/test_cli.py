@@ -127,6 +127,31 @@ class TestFit:
             for m in range(3):
                 assert np.array_equal(a.factors[m], b.factors[m])
 
+    def test_resume_after_checkpoint_swap_stopped(self, synth_coo, tmp_path,
+                                                  capsys):
+        # a checkpoint save that stopped between its renames leaves the
+        # previous checkpoint aside and the new one half written
+        full = tmp_path / "full"
+        part = tmp_path / "part"
+        common = ["--data", synth_coo, "--Q", "3", "--seed", "5", "--thin", "1",
+                  "--burnin", "2"]
+        assert run_cli("fit", *common, "--iters", "4", "--out", full) == 0
+        assert run_cli("fit", *common, "--iters", "2", "--out", part) == 0
+        shutil.copytree(part / "checkpoint", part / ".checkpoint.tmp")
+        (part / ".checkpoint.tmp" / "manifest.txt").unlink()
+        (part / "checkpoint").rename(part / ".checkpoint.old")
+        capsys.readouterr()
+        assert run_cli("fit", *common, "--iters", "4", "--out", part,
+                       "--resume") == 0
+        assert "(iterations 5..6)" in capsys.readouterr().out
+        for idx in range(1, 5):
+            a = load_state(full / "samples" / f"sample_{idx:04d}")
+            b = load_state(part / "samples" / f"sample_{idx:04d}")
+            assert np.array_equal(a.core_values, b.core_values)
+            for m in range(3):
+                assert np.array_equal(a.factors[m], b.factors[m])
+        assert not [p.name for p in part.iterdir() if p.name.startswith(".")]
+
     def test_resume_refuses_changed_flags(self, synth_coo, tmp_path, capsys):
         out = tmp_path / "run"
         common = ["--data", synth_coo, "--Q", "3", "--thin", "1", "--burnin", "1",

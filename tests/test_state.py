@@ -12,6 +12,7 @@ from allocore.state import (
     Hyperparameters,
     IntegrityError,
     cell_rates,
+    cell_sums,
     core_value_at,
     effective_dims,
     init_canonical,
@@ -219,7 +220,8 @@ def fancy_gather_rates(state, coords):
 
 class TestCellRates:
     @pytest.mark.parametrize("M", [2, 3, 4, 5])
-    # 40 rows in blocks of 3 (13 full, then 1) or 7 (5 full, then 5)
+    # 40 rows in blocks of 3 (13 full, then 1) or 7 (5 full, then 5); the
+    # fill runs in half blocks, of 1 and 3 rows
     @pytest.mark.parametrize("n, block_rows", [
         pytest.param(0, None, id="0"),
         pytest.param(1, None, id="1"),
@@ -239,8 +241,29 @@ class TestCellRates:
         rates = cell_rates(state, coords)
         assert np.array_equal(rates, fancy_gather_rates(state, coords))
         assert rates.shape == (n, 11)
-        # a fresh table: callers may transpose, copy or write it
-        assert rates.flags.c_contiguous and rates.flags.writeable
+        # a fresh q-major table: callers may read or write each class's
+        # rates as one contiguous row
+        assert rates.T.flags.c_contiguous and rates.T.flags.writeable
+
+    # Q around NumPy's pairwise unroll of 8 and block of 128 terms; 40 cells
+    # in blocks of 3 (13 full, then 1), or 1 cell, or one block of 40
+    @pytest.mark.parametrize("Q", [*range(1, 10), 15, 16, 17, 127, 128, 129,
+                                   255, 256, 257, 400, 1000])
+    @pytest.mark.parametrize("n, block_cells", [(40, 3), (1, 3), (40, None)])
+    def test_cell_sums_equal_c_order_row_sums(self, Q, n, block_cells,
+                                              monkeypatch):
+        rng = np.random.default_rng(Q)
+        state = init_explicit((7, 6, 5), (4, 3, 3), Q=Q, core_mode="allocore",
+                              seed=Q)
+        # rates over many orders of magnitude, so the adding order shows
+        state.core_values[:] = np.exp(rng.normal(0.0, 8.0, Q))
+        coords = np.stack([rng.integers(0, d, size=n) for d in state.shape], axis=1)
+        if block_cells is not None:
+            monkeypatch.setattr(state_module, "_BLOCK_BYTES", 8 * 8 * block_cells)
+            assert len(list(row_blocks(n, 8))) == -(-n // block_cells)
+        rates = cell_rates(state, coords)
+        assert np.array_equal(cell_sums(rates),
+                              np.ascontiguousarray(rates).sum(axis=1))
 
 
 class TestEffectiveDims:
