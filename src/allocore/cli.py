@@ -316,17 +316,17 @@ def cmd_fit(args, argv) -> int:
 # ---------------------------------------------------------------------------
 
 def _existing_result_keys(path) -> set[str]:
+    """The runs with a row in the results table at ``path``. A last line
+    with no newline is a write stopped partway: it is cut off the file, so
+    the next row starts a line of its own and that run is scored again."""
     if not os.path.exists(path):
         return set()
-    keys = set()
-    with open(path) as f:
-        header = f.readline()
-        if not header:
-            return keys
-        for line in f:
-            if line.strip():
-                keys.add(line.split("\t", 1)[0])
-    return keys
+    with open(path, "rb+") as f:
+        text = f.read()
+        whole = text.rfind(b"\n") + 1
+        f.truncate(whole)
+    rows = text[:whole].decode().splitlines()[1:]
+    return {line.split("\t", 1)[0] for line in rows if line.strip()}
 
 
 def _run_key(run_dir) -> str:
@@ -394,6 +394,7 @@ def cmd_eval(args, argv) -> int:
                 continue
             row = _eval_run(run_dir)
             f.write("\t".join(str(row[c]) for c in RESULT_COLUMNS) + "\n")
+            f.flush()
             existing.add(key)
             appended += 1
             print(f"{row['run']}: ppd_full={row['ppd_full']} "

@@ -4,19 +4,19 @@ The pointwise predictive density averages each heldout cell's Poisson mass
 over the saved posterior states in probability space (via log-sum-exp), then
 takes the geometric mean over cells.
 
-The log masses are streamed over blocks of about ``state._BLOCK_BYTES``
-(1 MiB) of rates, so no (n_cells, Q) or (S, n_cells) table is ever held. A heldout set written by ``split`` carries its fiber
-layout: all cells of a fiber share their stem, so a block of stems is scored
-from each sample's class tables as a (stems, D_free, Q) product, the stem
-rows times the whole free-mode table. A set without a layout (such as
+The log masses are streamed over the blocks of ``state.row_blocks``, about
+1 MiB of one sample's rates each, so no (n_cells, Q) or (S, n_cells) table
+is ever held. A heldout set written by ``split`` carries its fiber layout:
+all cells of a fiber share their stem, so a block of stems is scored from
+each sample's class tables as a (stems, D_free, Q) product, the stem rows
+times the whole free-mode table. A set without a layout (such as
 ``HeldoutSet.positive()``) is scored cell by cell through
 ``reconstruct_cells``. Both give the same bits as scoring every cell on its
 own with one log-sum-exp over all cells.
 
 ``train_loglik`` scores one sample at a time over every training non-zero.
-It holds that sample's q-major rate table from ``cell_rates`` and sums each
-cell's rates with ``cell_sums`` over blocks of cells, so its peak is one
-table.
+``reconstruct_cells`` takes each cell's total from the blocks of the one
+rate table that ``cell_rates`` fills, so its peak is that table.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ import numpy as np
 from scipy.special import gammaln, logsumexp, xlogy
 
 from .gibbs import PosteriorSamples, proportional_train_loglik
-from .state import (_BLOCK_BYTES, ModelState, class_tables, load_state,
-                    rate_product, reconstruct_cells)
+from .state import (ModelState, class_tables, load_state, rate_product,
+                    reconstruct_cells, row_blocks)
 from .tensors import FiberMask, HeldoutSet, SparseCountTensor
 
 __all__ = [
@@ -54,19 +54,6 @@ def poisson_logpmf(counts: np.ndarray, rates: np.ndarray) -> np.ndarray:
     counts = np.asarray(counts, dtype=np.float64)
     rates = np.asarray(rates, dtype=np.float64)
     return xlogy(counts, rates) - rates - gammaln(counts + 1.0)
-
-
-def _blocks(n_units: int, unit_cells: int, Q: int):
-    """(lo, hi) ranges of units (cells or fibers of ``unit_cells`` cells)
-    holding about ``_BLOCK_BYTES`` of one sample's rates each. No block is
-    a single cell unless the set is: logsumexp sums the samples of several
-    columns row by row but those of one column pairwise, which changes the
-    bits from S = 9 on."""
-    step = max(_BLOCK_BYTES // (8 * Q * unit_cells), 2 if unit_cells == 1 else 1)
-    edges = list(range(0, n_units, step)) + [n_units]
-    if len(edges) > 2 and (edges[-1] - edges[-2]) * unit_cells == 1:
-        del edges[-2]
-    return zip(edges[:-1], edges[1:])
 
 
 def _fiber_yhats(samples: PosteriorSamples, layout: FiberMask):
@@ -101,7 +88,7 @@ def _log_mixture_masses(samples: PosteriorSamples, heldout: HeldoutSet) -> np.nd
         block_yhats = _fiber_yhats(samples, layout)
     Q = max(state.Q for state in samples.samples)
     out = np.empty(heldout.n_cells)
-    for lo, hi in _blocks(n_units, unit_cells, Q):
+    for lo, hi in row_blocks(n_units, unit_cells * Q):
         cells = slice(lo * unit_cells, hi * unit_cells)
         masses = poisson_logpmf(heldout.counts[cells], block_yhats(lo, hi))
         out[cells] = logsumexp(masses, axis=0) - math.log(samples.S)

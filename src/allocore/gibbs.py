@@ -29,8 +29,8 @@ from .state import (
     TINY,
     ModelState,
     cell_rates,
-    cell_sums,
     effective_dims,
+    reconstruct_cells,
     save_state,
     substream,
 )
@@ -66,9 +66,9 @@ class LatentSources:
     ``totals[q]`` sums it over cells; ``mode_marginals[m][d, q]`` sums it
     over cells whose mode-m coordinate is d. They do not depend on the core
     locations, so moving a location leaves them valid. ``per_cell`` is the
-    transposed view of thinning's q-major (Q, nnz) table, the buffer of
-    ``cell_rates`` with the int64 draws written over the probabilities, so
-    it is not C-contiguous.
+    transposed view of thinning's q-major (Q, nnz) table: the table
+    ``cell_rates`` returns, with the int64 draws written over the
+    probabilities. So it is not C-contiguous.
     """
 
     per_cell: np.ndarray
@@ -89,14 +89,14 @@ def thin_counts(state: ModelState, train: SparseCountTensor,
     """Split every observed count into per-class sources by its multinomial
     complete conditional, with probabilities proportional to the per-class
     rates. Zero cells carry no sources. O(nnz * Q * M). The work runs
-    q-major on the one (Q, nnz) table that ``cell_rates`` fills: its rows
+    q-major on the (Q, nnz) table that ``cell_rates`` returns: its rows
     become the conditional probabilities, and each class's draws are
     written over its own spent row, so one nnz x Q table is alive at a
     time."""
     if train.shape != state.shape:
         raise ValueError("training tensor shape does not match state")
     Q = state.Q
-    p = cell_rates(state, train.coords).T
+    p = cell_rates(state, train.coords)
     # p[q] becomes rate_q / (rate_q + ... + rate_{Q-1}), in [0, 1]: a
     # rounded sum of non-negative terms is never below one of them, and
     # where a suffix underflowed to 0 its own rate is 0 and stays so. The
@@ -133,9 +133,9 @@ class MaskCorrections:
 
     A masked fiber factorizes, so its contribution to any product-of-sums
     is a product over the stem modes times a full column sum over the free
-    mode. Everything here is recomputed from the current state on demand;
-    with no mask all corrections are identically zero and the samplers skip
-    the subtraction entirely.
+    mode. Everything here is recomputed from the current state on demand.
+    With no mask (``active`` false) all corrections are zero: the samplers
+    skip them and call no method here.
 
     Every method covers all q at once. Stem products multiply the modes
     before the one left out from left to right and the modes after it from
@@ -174,8 +174,6 @@ class MaskCorrections:
                            colsums: list[np.ndarray]) -> np.ndarray:
         """For each q: sum over masked cells of the factor product at q's
         location (the correction to the lambda rate and the total rate)."""
-        if not self.active:
-            return np.zeros(state.Q)
         s_free = colsums[self.free_mode][state.core_locations[:, self.free_mode]]
         return self._stem_product(state).sum(axis=1) * s_free
 
@@ -195,8 +193,6 @@ class MaskCorrections:
     def phi_corrections(self, state: ModelState, m: int,
                         colsums: list[np.ndarray]) -> np.ndarray:
         """(D_m, K_m) correction matrix for the factor-entry rate sums."""
-        if not self.active:
-            return np.zeros((self.shape[m], state.K[m]))
         w = self.mode_weights(state, m, colsums)
         return _scatter_add(state.core_locations[:, m],
                             state.core_values[:, None] * w, state.K[m]).T
@@ -241,7 +237,7 @@ def proportional_train_loglik(state: ModelState, train: SparseCountTensor,
     constant: sum over non-zeros of y*log(yhat) minus the total observed
     rate."""
     rate_total = observed_rate_total(state, corrections)
-    yhat = cell_sums(cell_rates(state, train.coords))
+    yhat = reconstruct_cells(state, train.coords)
     if (yhat <= 0).any():
         return float("-inf")
     return float(train.counts @ np.log(yhat)) - rate_total
@@ -467,8 +463,9 @@ def run_chain(train: SparseCountTensor, mask: FiberMask | None,
                           substream(seed, it, LAMBDA_BLOCK))
             sample_phi(state, sources, corrections, substream(seed, it, PHI_BLOCK))
             sample_pi(state, substream(seed, it, PI_BLOCK))
-            # The log row and the next thinning each hold one nnz x Q
-            # table; without this per_cell would be alive beside it.
+            # The log row's cell_rates call and the next thinning each fill
+            # an nnz x Q table, and per_cell is a view of the last one;
+            # without this it would stay alive beside the next.
             del sources
             state.next_iteration = it + 1
             elapsed = time.perf_counter() - t0
@@ -491,6 +488,9 @@ def run_chain(train: SparseCountTensor, mask: FiberMask | None,
                     save_state(snap, os.path.join(out_dir, "samples",
                                                   f"sample_{index:04d}"))
             if out_dir is not None and (it % config.thin == 0 or it == last_iter):
+                # a resume keeps the rows before its checkpoint, so they
+                # must be on disk before it is: a hard kill flushes nothing
+                log_file.flush()
                 save_state(state, os.path.join(out_dir, "checkpoint"))
     finally:
         if log_file is not None:

@@ -32,7 +32,6 @@ __all__ = [
     "class_tables",
     "rate_product",
     "cell_rates",
-    "cell_sums",
     "effective_dims",
     "save_state",
     "load_state",
@@ -298,73 +297,53 @@ def rate_product(values: np.ndarray, tables: list[np.ndarray],
     return rates
 
 
-def row_blocks(n: int, Q: int, block_bytes: int | None = None):
-    """(lo, hi) ranges that cut the rows of an (n, Q) float64 table into
-    blocks of about ``block_bytes`` (``_BLOCK_BYTES`` by default), at least
-    one row each."""
-    step = max((block_bytes or _BLOCK_BYTES) // (8 * Q), 1)
-    return ((lo, min(lo + step, n)) for lo in range(0, n, step))
+def row_blocks(n: int, width: int, block_bytes: int | None = None):
+    """(lo, hi) ranges that cut n rows of ``width`` float64 values each into
+    blocks of about ``block_bytes`` (``_BLOCK_BYTES`` by default). No block
+    is a single row unless n is 1: the ppd's blocks of cells go through a
+    logsumexp, which sums one column's samples pairwise but several
+    columns' row by row, and that changes the bits from S = 9 on."""
+    step = max((block_bytes or _BLOCK_BYTES) // (8 * width), 2)
+    edges = list(range(0, n, step)) + [n]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return zip(edges[:-1], edges[1:])
 
 
-def cell_rates(state: ModelState, coords: np.ndarray) -> np.ndarray:
-    """Per-class Poisson rates at the given cells: out[i, q] is the rate the
+def cell_rates(state: ModelState, coords: np.ndarray,
+               totals: np.ndarray | None = None) -> np.ndarray:
+    """Per-class Poisson rates at the given cells: out[q, i] is the rate the
     q-th core entry contributes to cell i, ``values[q] * T_0[c_0, q] *
     T_1[c_1, q] * ...`` from the class tables of ``class_tables``, values
     first and then the modes in ascending order. O(n * Q * M).
 
-    The table is q-major: the result is the (n, Q) transposed view of a
-    fresh, writable, C-ordered (Q, n) table, so ``cell_rates(...).T`` hands
-    a caller each class's rates as one contiguous row. It is filled in
-    blocks of cells of half ``_BLOCK_BYTES``, where each block's
-    cell-major product and its transposed write stay in cache, so a call
-    holds only the one table plus a block's gathers."""
+    The result is a fresh, writable, C-ordered (Q, n) table, so a caller
+    reads or writes each class's rates as one contiguous row. It is filled
+    in blocks of cells of half ``_BLOCK_BYTES``: each block is a cell-major
+    ``rate_product`` that stays in cache for its transposed write, so a
+    call holds only the one table plus a block's gathers. Given
+    ``totals`` (length n), each cell's total rate is written there as
+    that block's ``sum(axis=1)``, which NumPy adds pairwise along the row."""
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, state.M)
     tables = class_tables(state)
     out = np.empty((state.Q, coords.shape[0]))
     for lo, hi in row_blocks(coords.shape[0], state.Q, _BLOCK_BYTES // 2):
-        out[:, lo:hi] = rate_product(state.core_values, tables, coords[lo:hi].T).T
-    return out.T
-
-
-def _pairwise_rows(rows: np.ndarray) -> np.ndarray:
-    """Sum of the rows of a (Q, w) array in NumPy's pairwise order for a
-    contiguous reduction of Q terms: under 8 terms one by one; up to 128,
-    eight accumulators over terms i, i + 8, ..., combined as
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the tail one by
-    one; above 128, the two halves split at a multiple of 8."""
-    n = rows.shape[0]
-    if n < 8:
-        res = rows[0].copy()
-        for row in rows[1:]:
-            res += row
-        return res
-    if n <= 128:
-        r = rows[:8].copy()
-        end = n - n % 8
-        for i in range(8, end, 8):
-            r += rows[i:i + 8]
-        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for row in rows[end:]:
-            res += row
-        return res
-    half = n // 2 - (n // 2) % 8
-    return _pairwise_rows(rows[:half]) + _pairwise_rows(rows[half:])
-
-
-def cell_sums(rates: np.ndarray) -> np.ndarray:
-    """Per-cell totals of a ``cell_rates`` table, read along its contiguous
-    q-major rows: equal bit for bit to ``sum(axis=1)`` of a C-ordered copy,
-    whose rows NumPy adds pairwise. Runs over blocks of cells whose eight
-    accumulators fill about ``_BLOCK_BYTES``."""
-    by_class = rates.T
-    out = np.empty(by_class.shape[1])
-    for lo, hi in row_blocks(by_class.shape[1], 8):
-        out[lo:hi] = _pairwise_rows(by_class[:, lo:hi])
+        block = rate_product(state.core_values, tables, coords[lo:hi].T)
+        if totals is not None:
+            totals[lo:hi] = block.sum(axis=1)
+        out[:, lo:hi] = block.T
     return out
 
 
 def reconstruct_cells(state: ModelState, coords: np.ndarray) -> np.ndarray:
-    return cell_sums(cell_rates(state, coords))
+    """The model's total rate (its reconstruction) at each given cell. The
+    rate table ``cell_rates`` fills is not read; only the totals are. The
+    benchmark in ``perfbench/`` pins the ``cell_rates`` calls per sweep,
+    which is why they are still taken from that call."""
+    coords = np.asarray(coords, dtype=np.int64).reshape(-1, state.M)
+    totals = np.empty(coords.shape[0])
+    cell_rates(state, coords, totals)
+    return totals
 
 
 def reconstruct_at(state: ModelState, d) -> float:
@@ -374,7 +353,7 @@ def reconstruct_at(state: ModelState, d) -> float:
         raise ValueError("cell index must have one coordinate per mode")
     if (d < 0).any() or (d >= np.asarray(state.shape)).any():
         raise ValueError(f"cell index {tuple(d)} out of range for shape {state.shape}")
-    return float(cell_sums(cell_rates(state, d[None, :]))[0])
+    return float(reconstruct_cells(state, d[None, :])[0])
 
 
 def effective_dims(state: ModelState) -> tuple[int, tuple[int, ...]]:

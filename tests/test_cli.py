@@ -281,6 +281,19 @@ class TestEval:
         assert len(lines) == 2
         assert lines[0].split("\t")[:2] == ["run", "dataset"]
 
+    @pytest.mark.parametrize("cut_in", ["row", "header"])
+    def test_partial_last_line_is_written_again(self, fitted_run, tmp_path,
+                                                cut_in):
+        # a write stopped partway leaves a last line with no newline
+        table = tmp_path / "results.tsv"
+        run_cli("eval", "--runs", fitted_run, "--out", table)
+        whole = table.read_text()
+        header, row = whole.splitlines()
+        kept = header + "\n" + row[:len(row) // 2] if cut_in == "row" else header[:5]
+        table.write_text(kept)
+        assert run_cli("eval", "--runs", fitted_run, "--out", table) == 0
+        assert table.read_text() == whole
+
     def test_run_named_twice_appends_one_row(self, fitted_run, tmp_path, capsys):
         table = tmp_path / "results.tsv"
         rc = run_cli("eval", "--runs", fitted_run, fitted_run, "--out", table)

@@ -6,6 +6,7 @@ import pytest
 from scipy.special import gammaln, logsumexp
 
 from allocore import evaluation
+from allocore import state as state_module
 from allocore.evaluation import (
     classes_for_mass_share,
     export_classes,
@@ -19,7 +20,7 @@ from allocore.evaluation import (
 )
 from allocore.gibbs import PosteriorSamples
 from allocore.state import (TINY, init_canonical, init_explicit, reconstruct_at,
-                            save_state)
+                            row_blocks, save_state)
 from allocore.tensors import HeldoutSet, SparseCountTensor, make_fiber_mask, split
 
 
@@ -143,11 +144,11 @@ class TestFiberPpdExact:
         samples = as_samples(*[init_explicit(shape, (3,) * len(shape), Q,
                                              "allocore", seed=s)
                                for s in range(10)])
-        # 15 stems in blocks of 4 (4, 4, 4, 3) or 7 (7, 7, 1); with
-        # D_free = 1 the one-cell last block joins the one before it.
-        monkeypatch.setattr(evaluation, "_BLOCK_BYTES",
+        # 15 stems in blocks of 4 (4, 4, 4, 3) or 7 (7, 8): the one-stem
+        # last block joins the one before it.
+        monkeypatch.setattr(state_module, "_BLOCK_BYTES",
                             8 * Q * d_free * stems_per_block)
-        assert len(list(evaluation._blocks(15, d_free, Q))) >= 2
+        assert len(list(row_blocks(15, d_free * Q))) >= 2
 
         want = reference_log_masses(samples, heldout)
         cells = HeldoutSet(heldout.coords, heldout.counts)
@@ -159,15 +160,18 @@ class TestFiberPpdExact:
         assert ppd(samples, heldout) == float(np.exp(want.mean()))
 
     def test_no_block_is_one_cell(self, monkeypatch):
-        monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 8 * 12 * 7)
-        assert list(evaluation._blocks(15, 1, 12)) == [(0, 7), (7, 15)]
-        assert list(evaluation._blocks(15, 2, 12)) == [
+        monkeypatch.setattr(state_module, "_BLOCK_BYTES", 8 * 12 * 7)
+        assert list(row_blocks(15, 12)) == [(0, 7), (7, 15)]
+        assert list(row_blocks(15, 2 * 12)) == [
             (0, 3), (3, 6), (6, 9), (9, 12), (12, 15)]
-        assert list(evaluation._blocks(15, 8, 12)) == [
-            (i, i + 1) for i in range(15)]
-        monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 8)
-        assert list(evaluation._blocks(5, 1, 12)) == [(0, 2), (2, 5)]
-        assert list(evaluation._blocks(1, 1, 12)) == [(0, 1)]
+        # wider rows than a block still go two to a block
+        assert list(row_blocks(15, 8 * 12)) == [
+            (i, i + 2) for i in range(0, 12, 2)] + [(12, 15)]
+        assert list(row_blocks(15, 12, 8 * 12 * 5)) == [(0, 5), (5, 10), (10, 15)]
+        monkeypatch.setattr(state_module, "_BLOCK_BYTES", 8)
+        assert list(row_blocks(5, 12)) == [(0, 2), (2, 5)]
+        assert list(row_blocks(1, 12)) == [(0, 1)]
+        assert list(row_blocks(0, 12)) == []
 
 
 class TestPpdPositive:

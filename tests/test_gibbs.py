@@ -1,5 +1,8 @@
 import itertools
 import os
+import signal
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
@@ -39,9 +42,12 @@ from allocore.state import (
     init_explicit,
     load_state,
     row_blocks,
+    save_state,
     substream,
 )
-from allocore.tensors import FiberMask, SparseCountTensor, split
+from allocore.tensors import FiberMask, SparseCountTensor, split, write_coo
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def no_mask(shape):
@@ -77,7 +83,7 @@ def cell_major_thin(state, train, rng):
     np.add.at marginals."""
     Q = state.Q
     per_cell = np.zeros((train.nnz, Q), dtype=np.int64)
-    p = cell_rates(state, train.coords)
+    p = cell_rates(state, train.coords).T
     suffix = np.cumsum(p[:, ::-1], axis=1)[:, ::-1]
     np.divide(p, suffix, out=p, where=suffix > 0)
     remaining = train.counts.copy()
@@ -200,7 +206,7 @@ class TestThinning:
         for m in range(2):
             state.factors[m][:] = [[1.0, TINY]]
         train = SparseCountTensor.from_entries((1, 1), {(0, 0): 6})
-        assert cell_rates(state, train.coords)[0, 1] == 0.0
+        assert cell_rates(state, train.coords)[1, 0] == 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             src = thin_counts(state, train, substream(0, 1, THIN_BLOCK))
@@ -236,7 +242,7 @@ class TestThinning:
         state.factors[1][:] = [[1.0, TINY], [1.0, TINY]]
         train = SparseCountTensor.from_entries(
             (3, 2), {(0, 0): 6, (0, 1): 2, (1, 0): 9, (1, 1): 1, (2, 1): 4})
-        suffix = cell_rates(state, train.coords)[:, 1:].sum(axis=1)
+        suffix = cell_rates(state, train.coords)[1:].sum(axis=0)
         assert (suffix == 0).any() and (suffix > 0).any()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -491,7 +497,7 @@ class TestMaskCorrections:
         src = thin_counts(state, train, substream(1, 1, THIN_BLOCK))
 
         # total observed rate
-        brute_total = sum(cell_rates(state, np.array([c]))[0].sum()
+        brute_total = sum(cell_rates(state, np.array([c]))[:, 0].sum()
                           for c in observed)
         assert observed_rate_total(state, corr) == pytest.approx(
             brute_total, rel=1e-12)
@@ -651,6 +657,42 @@ class TestRunChain:
         with pytest.raises(RuntimeError, match="killed"):
             run_chain(train, None, state, cfg, out_dir=str(part),
                       sample_sink=kill_at_4)
+        resumed = load_state(part / "checkpoint")
+        assert resumed.next_iteration == 3
+        run_chain(train, None, resumed, cfg, out_dir=str(part))
+
+        def rows(run):
+            lines = (tmp_path / run / "chain_log.tsv").read_text().splitlines()
+            return [line.split("\t")[:2] for line in lines[2:]]
+        assert rows("part") == rows("full")
+        assert [r[0] for r in rows("full")] == [str(i) for i in range(1, 7)]
+
+    def test_resume_after_hard_kill_keeps_log_rows(self, tmp_path):
+        # SIGKILL runs no finally and flushes no buffer: the rows before the
+        # checkpoint reach the disk only if run_chain wrote them out itself
+        train, state = random_instance(3)
+        cfg = ChainConfig(burn_in=0, total=6, thin=2)
+        run_chain(train, None, state, cfg, out_dir=str(tmp_path / "full"))
+
+        write_coo(train, tmp_path / "train.coo")
+        save_state(state, tmp_path / "init")
+        script = "\n".join([
+            "import os, signal, sys",
+            "from allocore import gibbs, state, tensors",
+            "def kill_at_4(it, snap):",
+            "    if it == 4:",
+            "        os.kill(os.getpid(), signal.SIGKILL)",
+            "gibbs.run_chain(tensors.load_coo(sys.argv[1]), None,",
+            "                state.load_state(sys.argv[2]),",
+            "                gibbs.ChainConfig(burn_in=0, total=6, thin=2),",
+            "                out_dir=sys.argv[3], sample_sink=kill_at_4)",
+        ])
+        part = tmp_path / "part"
+        killed = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "train.coo"),
+             str(tmp_path / "init"), str(part)],
+            env={**os.environ, "PYTHONPATH": SRC}, timeout=300)
+        assert killed.returncode == -signal.SIGKILL
         resumed = load_state(part / "checkpoint")
         assert resumed.next_iteration == 3
         run_chain(train, None, resumed, cfg, out_dir=str(part))

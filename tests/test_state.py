@@ -12,7 +12,6 @@ from allocore.state import (
     Hyperparameters,
     IntegrityError,
     cell_rates,
-    cell_sums,
     core_value_at,
     effective_dims,
     init_canonical,
@@ -220,8 +219,9 @@ def fancy_gather_rates(state, coords):
 
 class TestCellRates:
     @pytest.mark.parametrize("M", [2, 3, 4, 5])
-    # 40 rows in blocks of 3 (13 full, then 1) or 7 (5 full, then 5); the
-    # fill runs in half blocks, of 1 and 3 rows
+    # 40 rows in blocks of 3 (12 full, then 4: a one-row last block joins
+    # the one before it) or 7 (5 full, then 5); the fill runs in half
+    # blocks, of 2 rows (the least a block holds) and 3 rows
     @pytest.mark.parametrize("n, block_rows", [
         pytest.param(0, None, id="0"),
         pytest.param(1, None, id="1"),
@@ -237,21 +237,24 @@ class TestCellRates:
         coords = np.stack([rng.integers(0, d, size=n) for d in shape], axis=1)
         if block_rows is not None:
             monkeypatch.setattr(state_module, "_BLOCK_BYTES", 8 * 11 * block_rows)
-            assert len(list(row_blocks(n, 11))) == -(-n // block_rows)
+            assert len(list(row_blocks(n, 11))) == n // block_rows + (
+                n % block_rows > 1)
         rates = cell_rates(state, coords)
-        assert np.array_equal(rates, fancy_gather_rates(state, coords))
-        assert rates.shape == (n, 11)
+        assert np.array_equal(rates, fancy_gather_rates(state, coords).T)
+        assert rates.shape == (11, n)
         # a fresh q-major table: callers may read or write each class's
         # rates as one contiguous row
-        assert rates.T.flags.c_contiguous and rates.T.flags.writeable
+        assert rates.flags.c_contiguous and rates.flags.writeable
 
     # Q around NumPy's pairwise unroll of 8 and block of 128 terms; 40 cells
-    # in blocks of 3 (13 full, then 1), or 1 cell, or one block of 40
+    # filled in blocks of 3 (12 full, then 4), or 1 cell, or one block of 40
     @pytest.mark.parametrize("Q", [*range(1, 10), 15, 16, 17, 127, 128, 129,
                                    255, 256, 257, 400, 1000])
     @pytest.mark.parametrize("n, block_cells", [(40, 3), (1, 3), (40, None)])
     def test_cell_sums_equal_c_order_row_sums(self, Q, n, block_cells,
                                               monkeypatch):
+        """``reconstruct_cells`` takes each cell's total from the fill's
+        blocks; it equals the row sums of a C-ordered copy of the table."""
         rng = np.random.default_rng(Q)
         state = init_explicit((7, 6, 5), (4, 3, 3), Q=Q, core_mode="allocore",
                               seed=Q)
@@ -259,11 +262,11 @@ class TestCellRates:
         state.core_values[:] = np.exp(rng.normal(0.0, 8.0, Q))
         coords = np.stack([rng.integers(0, d, size=n) for d in state.shape], axis=1)
         if block_cells is not None:
-            monkeypatch.setattr(state_module, "_BLOCK_BYTES", 8 * 8 * block_cells)
-            assert len(list(row_blocks(n, 8))) == -(-n // block_cells)
-        rates = cell_rates(state, coords)
-        assert np.array_equal(cell_sums(rates),
-                              np.ascontiguousarray(rates).sum(axis=1))
+            monkeypatch.setattr(state_module, "_BLOCK_BYTES", 2 * 8 * Q * block_cells)
+            fill = row_blocks(n, Q, state_module._BLOCK_BYTES // 2)
+            assert len(list(fill)) == max(n // block_cells, 1)
+        want = np.ascontiguousarray(cell_rates(state, coords).T).sum(axis=1)
+        assert np.array_equal(reconstruct_cells(state, coords), want)
 
 
 class TestEffectiveDims:

@@ -1,11 +1,11 @@
 """The benchmark's traced run wraps allocore functions by name and reads
 ``LatentSources.per_cell``; a refactor that drops either breaks
 ``perfbench/run.py --trace 1``. This runs the same instrumentation on a
-one-sweep chain."""
+one-sweep chain and on the scoring of its sample."""
 
 import os
 
-from allocore import gibbs, init_canonical, make_fiber_mask, split
+from allocore import evaluation, gibbs, init_canonical, make_fiber_mask, split
 from allocore.state import THIN_BLOCK, substream
 from allocore.synthetic import SyntheticConfig, generate
 
@@ -17,10 +17,13 @@ def test_traced_masked_sweep_records_every_layer(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(PERFBENCH)
     import spans
 
+    # spread factor columns, so that the held-out fibers hold positive
+    # counts for ppd_positive
     X, _ = generate(SyntheticConfig(shape=(12, 10, 4), true_dims=(2, 2, 2),
-                                    true_budget=3, column_scale=5.0, seed=0))
+                                    true_budget=3, column_scale=5.0,
+                                    column_concentration=1.0, seed=0))
     mask = make_fiber_mask(X, 2, 0.1, 1)
-    train, _ = split(X, mask)
+    train, heldout = split(X, mask)
     init = init_canonical(X.shape, 4, seed=1)
     targets = spans.SETUP_TARGETS + spans.FIT_TARGETS + spans.EVAL_TARGETS
     originals = {(mod, attr): _owner(mod).__dict__[attr]
@@ -56,6 +59,29 @@ def test_traced_masked_sweep_records_every_layer(tmp_path, monkeypatch):
             live += int(remaining > 0)
             remaining -= row[q]
     assert 0 < live == recorder.counts["gibbs.thin_counts.live"]
+    for (mod, attr), original in originals.items():
+        assert _owner(mod).__dict__[attr] is original
+
+    # the eval phase, as the benchmark runs it: every call through the
+    # module attribute it is wrapped under
+    recorder = spans.SpanRecorder()
+    undo = spans.instrument(recorder, spans.EVAL_TARGETS)
+    try:
+        samples = evaluation.load_samples(str(tmp_path / "run"))
+        evaluation.ppd(samples, heldout)
+        evaluation.ppd_positive(samples, heldout)
+        evaluation.ppd_constant_baseline(train, heldout)
+        evaluation.train_loglik(samples.samples[0], train)
+    finally:
+        undo()
+
+    stats = spans.span_stats(recorder.spans)
+    for _, _, name, *_ in spans.EVAL_TARGETS:
+        assert stats[name]["calls"] >= 1, name
+    # the held-out set is scored by fibers; only ppd_positive's cells take
+    # the cell path
+    assert recorder.counts["evaluation.reconstruct_cells.cells"] == (
+        samples.S * heldout.positive().n_cells)
     for (mod, attr), original in originals.items():
         assert _owner(mod).__dict__[attr] is original
 
