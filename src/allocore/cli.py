@@ -357,6 +357,9 @@ def _eval_run(run_dir) -> dict:
                 parts = line.split("\t")
                 if len(parts) >= 2:
                     wall += float(parts[-1])
+    # a held-out set with no positive cell has no ppd_positive; the rest of
+    # the row is still well defined
+    positive = ppd_positive(samples, heldout) if heldout.counts.any() else math.nan
     return {
         "run": _run_key(run_dir),
         "dataset": os.path.basename(man["data"]),
@@ -366,7 +369,7 @@ def _eval_run(run_dir) -> dict:
         "seed": man.get("seed", "?"),
         "S": samples.S,
         "ppd_full": f"{ppd(samples, heldout):.8g}",
-        "ppd_positive": f"{ppd_positive(samples, heldout):.8g}",
+        "ppd_positive": f"{positive:.8g}",
         "ppd_baseline": f"{ppd_constant_baseline(train, heldout):.8g}",
         "wall_seconds": f"{wall:.3f}",
     }

@@ -92,7 +92,9 @@ def thin_counts(state: ModelState, train: SparseCountTensor,
     q-major on the (Q, nnz) table that ``cell_rates`` returns: its rows
     become the conditional probabilities, and each class's draws are
     written over its own spent row, so one nnz x Q table is alive at a
-    time."""
+    time. The totals and mode marginals are summed from each class row's
+    non-zero draws alone; every such sum is an integer below 2**53, so
+    they equal the int64 sums over the whole table exactly."""
     if train.shape != state.shape:
         raise ValueError("training tensor shape does not match state")
     Q = state.Q
@@ -115,16 +117,21 @@ def thin_counts(state: ModelState, train: SparseCountTensor,
         draws[q] = rng.binomial(remaining, p[q])
         remaining -= draws[q]
     draws[Q - 1] = remaining
-    # Float weights are exact: each sum is an integer no larger than the
-    # tensor's total count, below 2**53 (the gamma shapes read these counts
-    # as floats in any case).
+    # The non-zero draws are a few percent of a row on real data. A float
+    # sum of them is exact: it is an integer no larger than the tensor's
+    # total count, below 2**53, whatever the order of the adds (the gamma
+    # shapes read these counts as floats in any case).
     keys = np.ascontiguousarray(train.coords.T)
+    totals = np.empty(Q)
     marginals = [np.empty((d, Q)) for d in state.shape]
     for q, row in enumerate(draws):
-        weights = row.astype(np.float64)
+        nz = np.flatnonzero(row != 0)
+        weights = row[nz].astype(np.float64)
+        totals[q] = weights.sum()
         for m, d in enumerate(state.shape):
-            marginals[m][:, q] = np.bincount(keys[m], weights=weights, minlength=d)
-    return LatentSources(per_cell=draws.T, totals=draws.sum(axis=1),
+            marginals[m][:, q] = np.bincount(keys[m][nz], weights=weights,
+                                             minlength=d)
+    return LatentSources(per_cell=draws.T, totals=totals.astype(np.int64),
                          mode_marginals=[g.astype(np.int64) for g in marginals])
 
 
@@ -478,6 +485,7 @@ def run_chain(train: SparseCountTensor, mask: FiberMask | None,
                 row.append(f"{elapsed:.6f}")
                 log_file.write("\t".join(row) + "\n")
 
+            due = []
             if it > config.burn_in and (it - config.burn_in) % config.thin == 0:
                 snap = state.snapshot()
                 saved.append(snap)
@@ -485,13 +493,16 @@ def run_chain(train: SparseCountTensor, mask: FiberMask | None,
                     sample_sink(it, snap)
                 if out_dir is not None:
                     index = (it - config.burn_in) // config.thin
-                    save_state(snap, os.path.join(out_dir, "samples",
-                                                  f"sample_{index:04d}"))
+                    due.append(os.path.join(out_dir, "samples", f"sample_{index:04d}"))
             if out_dir is not None and (it % config.thin == 0 or it == last_iter):
                 # a resume keeps the rows before its checkpoint, so they
                 # must be on disk before it is: a hard kill flushes nothing
                 log_file.flush()
-                save_state(state, os.path.join(out_dir, "checkpoint"))
+                # the checkpoint goes last: a save stopped before its swap
+                # resumes from the previous one and writes the sample again
+                due.append(os.path.join(out_dir, "checkpoint"))
+            if due:
+                save_state(state, *due)
     finally:
         if log_file is not None:
             log_file.close()

@@ -369,7 +369,8 @@ def effective_dims(state: ModelState) -> tuple[int, tuple[int, ...]]:
 # State directory format: manifest.txt (key=value) plus one factor matrix per
 # mode, the allocated core entries, and the location-prior simplexes. Data
 # files are covered by a SHA-256 checksum recorded in the manifest. A save
-# writes a temp directory beside the target and swaps it in.
+# writes a temp directory beside each target and swaps it in; a save to
+# several targets renders the text once and copies the files.
 # ---------------------------------------------------------------------------
 
 def _data_files(m: int) -> list[str]:
@@ -406,21 +407,30 @@ def recover_state(dirpath) -> bool:
     return os.path.isdir(dirpath)
 
 
-def save_state(state: ModelState, dirpath) -> None:
-    """Write ``state`` to the directory ``dirpath``, replacing the state
-    there. The files go into a temp directory beside it; then the old
-    directory is renamed aside, the new one renamed in, and the old one
-    removed. A write stopped at any point leaves either state whole, where
-    ``recover_state`` finds it."""
-    recover_state(dirpath)
-    tmp, old = _beside(dirpath)
-    _write_state(state, tmp)
-    replacing = os.path.isdir(dirpath)
-    if replacing:
-        os.rename(dirpath, old)
-    os.rename(tmp, dirpath)
-    if replacing:
-        shutil.rmtree(old)
+def save_state(state: ModelState, *dirpaths) -> None:
+    """Write ``state`` to each directory of ``dirpaths``, replacing the
+    state there. The state is rendered once, into a temp directory beside
+    the first target, which is then swapped in: the old directory renamed
+    aside, the new one renamed in and the old one removed. Each further
+    target in turn gets a file copy of the first target's directory in a
+    temp directory of its own and the same swap. A write stopped at any
+    point leaves every target's state whole, old or new, where
+    ``recover_state`` finds it. A caller names a resume point (the
+    checkpoint) last: a stop before its swap leaves it at the previous
+    state, and the resumed chain writes the earlier targets again."""
+    for i, dirpath in enumerate(dirpaths):
+        recover_state(dirpath)
+        tmp, old = _beside(dirpath)
+        if i == 0:
+            _write_state(state, tmp)
+        else:
+            shutil.copytree(dirpaths[0], tmp)
+        replacing = os.path.isdir(dirpath)
+        if replacing:
+            os.rename(dirpath, old)
+        os.rename(tmp, dirpath)
+        if replacing:
+            shutil.rmtree(old)
 
 
 def _write_state(state: ModelState, dirpath) -> None:

@@ -5,8 +5,9 @@ import pytest
 
 from allocore.cli import main
 from allocore.state import load_state
-from allocore.synthetic import default_config, generate
-from allocore.tensors import SparseCountTensor, load_coo, load_mask, write_coo
+from allocore.synthetic import SyntheticConfig, default_config, generate
+from allocore.tensors import (SparseCountTensor, load_coo, load_mask, make_fiber_mask,
+                              split, write_coo)
 
 
 @pytest.fixture(scope="module")
@@ -331,6 +332,27 @@ class TestEval:
         table = tmp_path / "results.tsv"
         assert run_cli("eval", "--runs", out, "--out", table) == 0
         assert len(table.read_text().splitlines()) == 2
+
+    def test_no_positive_heldout_cell_scores_the_rest(self, tmp_path):
+        # sparse factor columns leave every held-out cell of this mask at 0
+        tensor, _ = generate(SyntheticConfig(shape=(12, 10, 4), true_dims=(2, 2, 2),
+                                             true_budget=3, column_scale=5.0, seed=0))
+        data = tmp_path / "sparse.coo"
+        write_coo(tensor, data)
+        out = tmp_path / "run"
+        rc = run_cli("fit", "--data", data, "--mask-mode", "3", "--mask-frac", "0.1",
+                     "--mask-seed", "1", "--Q", "3", "--burnin", "0", "--iters", "2",
+                     "--thin", "1", "--seed", "1", "--out", out)
+        assert rc == 0
+        _, heldout = split(tensor, make_fiber_mask(tensor, 2, 0.1, 1))
+        assert heldout.n_cells == 48 and not heldout.counts.any()
+        table = tmp_path / "results.tsv"
+        assert run_cli("eval", "--runs", out, "--out", table) == 0
+        header, line = table.read_text().splitlines()
+        row = dict(zip(header.split("\t"), line.split("\t")))
+        assert row["ppd_positive"] == "nan"
+        assert 0 < float(row["ppd_full"]) <= 1
+        assert 0 < float(row["ppd_baseline"]) <= 1
 
     def test_missing_samples_reported(self, tmp_path, capsys):
         empty = tmp_path / "not_a_run"

@@ -1,5 +1,6 @@
 import itertools
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -112,6 +113,7 @@ def assert_thins_like_cell_major(state, train, seed):
     for got, want in pairs:
         assert got.dtype == np.int64
         assert got.shape == want.shape and np.array_equal(got, want)
+    return src
 
 
 def peak_instance():
@@ -215,21 +217,28 @@ class TestThinning:
 
     @pytest.mark.parametrize("M", [2, 3, 4])
     # with blocks of 5 rows the rate table's fill (in half blocks, 2 rows)
-    # crosses block boundaries, the last block short
-    @pytest.mark.parametrize("Q, block_rows", [
-        pytest.param(Q, rows, id=str(Q) if rows is None else f"{Q}-blocks{rows}")
-        for Q in (1, 2, 7, 40) for rows in (None, 5)])
-    def test_equals_cell_major_reference(self, M, Q, block_rows, monkeypatch):
+    # crosses block boundaries, the last block short; with counts of 1-2
+    # most class rows draw nothing and some classes no count at all
+    @pytest.mark.parametrize("Q, block_rows, max_count", [
+        pytest.param(Q, rows, 60, id=str(Q) if rows is None else f"{Q}-blocks{rows}")
+        for Q in (1, 2, 7, 40) for rows in (None, 5)]
+        + [pytest.param(40, None, 2, id="40-lowcount")])
+    def test_equals_cell_major_reference(self, M, Q, block_rows, max_count,
+                                         monkeypatch):
         rng = np.random.default_rng(100 * M + Q)
         shape = tuple(int(d) for d in rng.integers(3, 9, size=M))
         cells = np.unique(rng.integers(0, shape, size=(80, M)), axis=0)
-        train = SparseCountTensor(shape, cells, rng.integers(1, 60, len(cells)))
+        counts = rng.integers(1, max_count + 1, len(cells))
+        train = SparseCountTensor(shape, cells, counts)
         state = init_explicit(shape, (3, 4, 3, 2)[:M], Q, "allocore", seed=M)
         state.core_values[:] = rng.gamma(0.5, 1.0, Q)
         if block_rows is not None:
             monkeypatch.setattr(state_module, "_BLOCK_BYTES", 8 * Q * block_rows)
             assert len(list(row_blocks(train.nnz, Q))) > 2
-        assert_thins_like_cell_major(state, train, seed=Q)
+        src = assert_thins_like_cell_major(state, train, seed=Q)
+        if max_count == 2:
+            assert (src.totals == 0).any()
+            assert np.count_nonzero(src.per_cell) <= 0.05 * src.per_cell.size
 
     def test_equals_cell_major_reference_on_empty_and_underflowed(self):
         # class 0 has rate 1 everywhere; classes 1 and 2 sit on factor
@@ -703,35 +712,40 @@ class TestRunChain:
         assert rows("part") == rows("full")
         assert [r[0] for r in rows("full")] == [str(i) for i in range(1, 7)]
 
-    @pytest.mark.parametrize("stop_in", ["files", "renames"])
+    @pytest.mark.parametrize("stop_in", ["files", "copy", "renames"])
     def test_resume_after_checkpoint_write_stopped_partway(
             self, tmp_path, monkeypatch, stop_in):
         train, state = random_instance(3)
         cfg = ChainConfig(burn_in=2, total=4, thin=1)
         run_chain(train, None, state, cfg, out_dir=str(tmp_path / "full"))
 
-        def stop_third(fn, hit):
+        def stop_nth(fn, nth, suffix):
             calls = []
 
-            def stopping(path, *args, **kwargs):
-                if hit(os.fspath(path)):
-                    calls.append(path)
-                    if len(calls) == 3:
+            def stopping(*args, **kwargs):
+                if any(isinstance(a, (str, os.PathLike))
+                       and os.fspath(a).endswith(suffix) for a in args):
+                    calls.append(args)
+                    if len(calls) == nth:
                         raise OSError("write stopped")
-                return fn(path, *args, **kwargs)
+                return fn(*args, **kwargs)
             return stopping
 
-        # the checkpoint write after sweep 3 stops between its second and
-        # third data file, or after the previous checkpoint went aside
+        # sweeps 1 and 2 are burn-in, so their checkpoints are rendered;
+        # from sweep 3 on each checkpoint is a copy of the sweep's sample
+        second = os.path.join(".checkpoint.tmp", "factors_2.txt")
         if stop_in == "files":
-            second = os.path.join(".checkpoint.tmp", "factors_2.txt")
-            monkeypatch.setattr(np, "savetxt", stop_third(
-                np.savetxt, lambda path: path.endswith(second)))
-            left = {"checkpoint", ".checkpoint.tmp"}
+            # sweep 2's rendering stops between its second and third data file
+            monkeypatch.setattr(np, "savetxt", stop_nth(np.savetxt, 2, second))
+            left, resumed_at = {"checkpoint", ".checkpoint.tmp"}, 2
+        elif stop_in == "copy":
+            # sweep 3's copy of its sample fails on the second factor file
+            monkeypatch.setattr(shutil, "copyfile", stop_nth(shutil.copyfile, 1, second))
+            left, resumed_at = {"checkpoint", ".checkpoint.tmp"}, 3
         else:
-            monkeypatch.setattr(os, "rename", stop_third(
-                os.rename, lambda path: path.endswith(".checkpoint.tmp")))
-            left = {".checkpoint.old", ".checkpoint.tmp"}
+            # sweep 3's checkpoint stops after the previous one went aside
+            monkeypatch.setattr(os, "rename", stop_nth(os.rename, 3, ".checkpoint.tmp"))
+            left, resumed_at = {".checkpoint.old", ".checkpoint.tmp"}, 3
         part = tmp_path / "part"
         with pytest.raises(OSError, match="write stopped"):
             run_chain(train, None, state, cfg, out_dir=str(part))
@@ -740,7 +754,7 @@ class TestRunChain:
         assert left <= names and ("checkpoint" in names) == ("checkpoint" in left)
 
         resumed = load_state(part / "checkpoint")
-        assert resumed.next_iteration == 3
+        assert resumed.next_iteration == resumed_at
         run_chain(train, None, resumed, cfg, out_dir=str(part))
         assert not [name for name in os.listdir(part) if name.startswith(".")]
         for name in ["checkpoint"] + [f"samples/sample_{i:04d}" for i in range(1, 5)]:

@@ -1,11 +1,14 @@
 import itertools
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from allocore import gibbs
 from allocore import state as state_module
 from allocore.gibbs import ChainConfig, run_chain
 from allocore.state import (
@@ -294,6 +297,11 @@ class TestEffectiveDims:
             assert effective_dims(state)[0] <= state.Q
 
 
+def dir_bytes(dirpath):
+    """Every file of a state directory, by name."""
+    return {path.name: path.read_bytes() for path in Path(dirpath).iterdir()}
+
+
 class TestStateIO:
     def test_round_trip(self, tmp_path):
         state = init_explicit((5, 4, 3), (3, 2, 2), Q=4, core_mode="allocore",
@@ -313,6 +321,47 @@ class TestStateIO:
         cells = np.stack([rng.integers(0, d, size=20) for d in state.shape], axis=1)
         assert np.array_equal(reconstruct_cells(back, cells),
                               reconstruct_cells(state, cells))
+
+    def test_several_targets_get_the_single_save_bytes(self, tmp_path):
+        state = init_explicit((5, 4, 3), (3, 2, 2), Q=4, core_mode="allocore",
+                              seed=42)
+        state.next_iteration = 9
+        sample, checkpoint = tmp_path / "samples" / "sample_0001", tmp_path / "checkpoint"
+        sample.parent.mkdir()
+        save_state(init_canonical((5, 4, 3), Q=2, seed=0), checkpoint)
+        save_state(state, sample, checkpoint)
+        for target in (sample, checkpoint):
+            alone = tmp_path / "alone" / target.name
+            save_state(state, alone)
+            assert dir_bytes(target) == dir_bytes(alone)
+            assert "manifest.txt" in dir_bytes(target)
+        assert sorted(os.listdir(tmp_path)) == ["alone", "checkpoint", "samples"]
+        assert os.listdir(sample.parent) == ["sample_0001"]
+
+    def test_chain_saves_equal_single_saves(self, tmp_path, monkeypatch):
+        # burn-in 3 with thin 2: samples fall on sweeps 5 and 7 and
+        # checkpoints on even sweeps and the last, so only sweep 7 saves both
+        train = SparseCountTensor.from_entries(
+            (4, 3, 2), {(0, 0, 0): 3, (1, 2, 1): 1, (3, 1, 0): 2})
+        init = init_canonical(train.shape, 3, seed=4)
+        saves = []
+
+        def checked_save(state, *dirpaths):
+            save_state(state, *dirpaths)
+            names = [os.path.relpath(d, tmp_path / "run") for d in dirpaths]
+            saves.append((state.next_iteration, names))
+            for name, target in zip(names, dirpaths):
+                alone = tmp_path / "alone" / f"{state.next_iteration}-{name}"
+                save_state(state, alone)
+                assert dir_bytes(target) == dir_bytes(alone)
+                assert load_state(target).next_iteration == state.next_iteration
+
+        monkeypatch.setattr(gibbs, "save_state", checked_save)
+        run_chain(train, None, init, ChainConfig(burn_in=3, total=4, thin=2),
+                  out_dir=str(tmp_path / "run"))
+        sample = os.path.join("samples", "sample_{:04d}").format
+        assert saves == [(3, ["checkpoint"]), (5, ["checkpoint"]), (6, [sample(1)]),
+                         (7, ["checkpoint"]), (8, [sample(2), "checkpoint"])]
 
     def test_hyper_round_trip(self, tmp_path):
         hyper = Hyperparameters(a0=0.5, b0=2.0, e0=1.5, f0=3.0, alpha0=0.2)
