@@ -15,8 +15,8 @@ times the whole free-mode table. A set without a layout (such as
 own with one log-sum-exp over all cells.
 
 ``train_loglik`` scores one sample at a time over every training non-zero.
-``reconstruct_cells`` takes each cell's total from the blocks of the one
-rate table that ``cell_rates`` fills, so its peak is that table.
+``reconstruct_cells`` sums each block of cells' rates as it is made, so no
+(n_cells, Q) table is held there either.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ __all__ = [
     "ppd_constant_baseline",
     "train_loglik",
     "top_classes",
-    "classes_for_mass_share",
     "export_classes",
     "load_samples",
     "poisson_logpmf",
@@ -67,8 +66,8 @@ def _fiber_yhats(samples: PosteriorSamples, layout: FiberMask):
         for j, m in enumerate(layout.stem_modes):
             index[m] = layout.stems[lo:hi, j][:, None]
         return np.array([
-            rate_product(state.core_values, state_tables, index).sum(axis=-1).ravel()
-            for state, state_tables in zip(samples.samples, tables)])
+            rate_product(state_tables, index).sum(axis=-1).ravel()
+            for state_tables in tables])
     return block_yhats
 
 
@@ -170,17 +169,6 @@ def top_classes(state: ModelState, n: int,
         out.append(ClassSummary(location=loc, value=float(values[rank]),
                                 entities=tuple(per_mode)))
     return out
-
-
-def classes_for_mass_share(state: ModelState, share: float) -> int:
-    """Smallest number of top classes whose values cover the given share of
-    the total allocated mass."""
-    if not 0 < share <= 1:
-        raise ValueError("share must lie in (0, 1]")
-    _, inverse = np.unique(state.core_locations, axis=0, return_inverse=True)
-    values = np.sort(np.bincount(inverse, weights=state.core_values))[::-1]
-    cum = np.cumsum(values)
-    return int(np.searchsorted(cum, share * cum[-1] - 1e-12) + 1)
 
 
 def export_classes(state: ModelState, out_dir, n: int,

@@ -470,9 +470,8 @@ def run_chain(train: SparseCountTensor, mask: FiberMask | None,
                           substream(seed, it, LAMBDA_BLOCK))
             sample_phi(state, sources, corrections, substream(seed, it, PHI_BLOCK))
             sample_pi(state, substream(seed, it, PI_BLOCK))
-            # The log row's cell_rates call and the next thinning each fill
-            # an nnz x Q table, and per_cell is a view of the last one;
-            # without this it would stay alive beside the next.
+            # per_cell is a view of this thinning's nnz x Q table; without
+            # this it would stay alive beside the next thinning's.
             del sources
             state.next_iteration = it + 1
             elapsed = time.perf_counter() - t0

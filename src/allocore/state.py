@@ -270,23 +270,28 @@ def core_value_at(state: ModelState, kappa) -> float:
 def class_tables(state: ModelState) -> list[np.ndarray]:
     """Per mode m the C-contiguous (D_m, Q) class table
     ``factors[m][:, core_locations[:, m]]``: column q is the factor column
-    at q's location."""
-    return [np.ascontiguousarray(f[:, state.core_locations[:, m]])
-            for m, f in enumerate(state.factors)]
+    at q's location. The core values are folded into table 0, whose
+    entries are ``values[q] * factors[0][d, core_locations[q, 0]]``."""
+    tables = [np.ascontiguousarray(f[:, state.core_locations[:, m]])
+              for m, f in enumerate(state.factors)]
+    tables[0] *= state.core_values
+    return tables
 
 
-def rate_product(values: np.ndarray, tables: list[np.ndarray],
-                 index) -> np.ndarray:
-    """``values * tables[0][index[0]] * tables[1][index[1]] * ...``, one row
-    gather per mode, multiplied in exactly that order into a fresh
-    C-ordered, writable array of shape broadcast(rows) + (Q,).
+def rate_product(tables: list[np.ndarray], index) -> np.ndarray:
+    """``tables[0][index[0]] * tables[1][index[1]] * ...``, one row gather
+    per mode, multiplied in exactly that order into a fresh C-ordered,
+    writable array of shape broadcast(rows) + (Q,). The core values come
+    in with table 0 (see ``class_tables``).
 
     ``index[m]`` selects rows of mode m's class table; the indices may
     broadcast against each other (a fiber block indexes each stem mode by a
     column of stems and the free mode by every row). The product grows to
     the broadcast shape only when a factor needs it, and is multiplied in
     place once it has that shape."""
-    rates = np.multiply(values, tables[0][index[0]], order="C")
+    rates = tables[0][index[0]]
+    if isinstance(index[0], slice):
+        rates = rates.copy()  # a view of table 0
     for table, idx in zip(tables[1:], index[1:]):
         rows = table[idx]
         if np.broadcast_shapes(rates.shape, rows.shape) == rates.shape:
@@ -310,8 +315,7 @@ def row_blocks(n: int, width: int, block_bytes: int | None = None):
     return zip(edges[:-1], edges[1:])
 
 
-def cell_rates(state: ModelState, coords: np.ndarray,
-               totals: np.ndarray | None = None) -> np.ndarray:
+def cell_rates(state: ModelState, coords: np.ndarray) -> np.ndarray:
     """Per-class Poisson rates at the given cells: out[q, i] is the rate the
     q-th core entry contributes to cell i, ``values[q] * T_0[c_0, q] *
     T_1[c_1, q] * ...`` from the class tables of ``class_tables``, values
@@ -321,28 +325,24 @@ def cell_rates(state: ModelState, coords: np.ndarray,
     reads or writes each class's rates as one contiguous row. It is filled
     in blocks of cells of half ``_BLOCK_BYTES``: each block is a cell-major
     ``rate_product`` that stays in cache for its transposed write, so a
-    call holds only the one table plus a block's gathers. Given
-    ``totals`` (length n), each cell's total rate is written there as
-    that block's ``sum(axis=1)``, which NumPy adds pairwise along the row."""
+    call holds only the one table plus a block's gathers."""
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, state.M)
     tables = class_tables(state)
     out = np.empty((state.Q, coords.shape[0]))
     for lo, hi in row_blocks(coords.shape[0], state.Q, _BLOCK_BYTES // 2):
-        block = rate_product(state.core_values, tables, coords[lo:hi].T)
-        if totals is not None:
-            totals[lo:hi] = block.sum(axis=1)
-        out[:, lo:hi] = block.T
+        out[:, lo:hi] = rate_product(tables, coords[lo:hi].T).T
     return out
 
 
 def reconstruct_cells(state: ModelState, coords: np.ndarray) -> np.ndarray:
-    """The model's total rate (its reconstruction) at each given cell. The
-    rate table ``cell_rates`` fills is not read; only the totals are. The
-    benchmark in ``perfbench/`` pins the ``cell_rates`` calls per sweep,
-    which is why they are still taken from that call."""
+    """The model's total rate (its reconstruction) at each given cell: the
+    ``sum(axis=1)`` of each block of ``cell_rates``'s fill, which NumPy
+    adds pairwise along the row, without the (Q, n) table."""
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, state.M)
+    tables = class_tables(state)
     totals = np.empty(coords.shape[0])
-    cell_rates(state, coords, totals)
+    for lo, hi in row_blocks(coords.shape[0], state.Q, _BLOCK_BYTES // 2):
+        totals[lo:hi] = rate_product(tables, coords[lo:hi].T).sum(axis=1)
     return totals
 
 

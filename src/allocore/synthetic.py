@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gibbs import PosteriorSamples, observed_rate_total
+from .gibbs import PosteriorSamples
 from .state import TINY, Hyperparameters, ModelState, effective_dims
 from .tensors import SparseCountTensor
 
@@ -21,7 +21,6 @@ __all__ = [
     "GroundTruth",
     "default_config",
     "generate",
-    "expected_total",
     "recovery_trace",
     "write_trace",
     "write_histograms",
@@ -154,11 +153,6 @@ def generate(config: SyntheticConfig) -> tuple[SparseCountTensor, GroundTruth]:
     truth_state.validate()
     q_eff, k_eff = effective_dims(truth_state)
     return tensor, GroundTruth(state=truth_state, q_eff=q_eff, k_eff=k_eff)
-
-
-def expected_total(truth: GroundTruth) -> float:
-    """Expected grand total of the generated tensor given its parameters."""
-    return observed_rate_total(truth.state)
 
 
 def recovery_trace(samples: PosteriorSamples) -> tuple[np.ndarray, np.ndarray]:

@@ -102,14 +102,6 @@ class SparseCountTensor:
         counts = np.array([v for _, v in kept], dtype=np.int64)
         return cls(tuple(shape), coords, counts)
 
-    def to_dict(self) -> dict[tuple[int, ...], int]:
-        return {tuple(map(int, r)): int(c) for r, c in zip(self.coords, self.counts)}
-
-    def entry(self, idx) -> int:
-        key = np.asarray(idx, dtype=np.int64)
-        hit = np.flatnonzero(np.all(self.coords == key, axis=1))
-        return int(self.counts[hit[0]]) if hit.size else 0
-
 
 @dataclass(frozen=True)
 class FiberMask:

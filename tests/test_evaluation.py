@@ -8,7 +8,6 @@ from scipy.special import gammaln, logsumexp
 from allocore import evaluation
 from allocore import state as state_module
 from allocore.evaluation import (
-    classes_for_mass_share,
     export_classes,
     load_samples,
     poisson_logpmf,
@@ -244,7 +243,7 @@ class TestTrainLoglik:
         coords = np.unique(rng.integers(0, (4, 3, 2), size=(8, 3)), axis=0)
         train = SparseCountTensor((4, 3, 2), coords,
                                   rng.integers(1, 5, size=len(coords)))
-        lookup = train.to_dict()
+        lookup = dict(zip(map(tuple, train.coords.tolist()), train.counts.tolist()))
         brute = 0.0
         for d in itertools.product(range(4), range(3), range(2)):
             y = lookup.get(d, 0)
@@ -260,7 +259,7 @@ class TestTrainLoglik:
         coords = np.unique(rng.integers(0, 5, size=(10, 2)), axis=0)
         train = SparseCountTensor((5, 5), coords,
                                   rng.integers(1, 4, size=len(coords)))
-        lookup = train.to_dict()
+        lookup = dict(zip(map(tuple, train.coords.tolist()), train.counts.tolist()))
         brute = sum(lookup.get(d, 0) * math.log(reconstruct_at(state, d))
                     - reconstruct_at(state, d)
                     for d in itertools.product(range(5), range(5)))
@@ -320,9 +319,9 @@ class TestTopClasses:
         state = init_explicit((3, 3), (4, 4), 4, "allocore", seed=0)
         state.core_locations[:] = [[0, 0], [1, 1], [2, 2], [3, 3]]
         state.core_values[:] = [5.0, 3.0, 1.0, 1.0]
-        assert classes_for_mass_share(state, 0.5) == 1
-        assert classes_for_mass_share(state, 0.8) == 2
-        assert classes_for_mass_share(state, 1.0) == 4
+        # the top one, two and four classes cover half, 80% and all of it
+        values = [c.value for c in top_classes(state, n=4)]
+        assert list(np.cumsum(values) / sum(values)) == [0.5, 0.8, 0.9, 1.0]
 
 
 class TestExportClasses:

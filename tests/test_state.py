@@ -15,11 +15,13 @@ from allocore.state import (
     Hyperparameters,
     IntegrityError,
     cell_rates,
+    class_tables,
     core_value_at,
     effective_dims,
     init_canonical,
     init_explicit,
     load_state,
+    rate_product,
     reconstruct_at,
     reconstruct_cells,
     row_blocks,
@@ -256,8 +258,9 @@ class TestCellRates:
     @pytest.mark.parametrize("n, block_cells", [(40, 3), (1, 3), (40, None)])
     def test_cell_sums_equal_c_order_row_sums(self, Q, n, block_cells,
                                               monkeypatch):
-        """``reconstruct_cells`` takes each cell's total from the fill's
-        blocks; it equals the row sums of a C-ordered copy of the table."""
+        """``reconstruct_cells`` sums each block of cells that ``cell_rates``
+        writes into its table; it equals the row sums of a C-ordered copy of
+        the table."""
         rng = np.random.default_rng(Q)
         state = init_explicit((7, 6, 5), (4, 3, 3), Q=Q, core_mode="allocore",
                               seed=Q)
@@ -270,6 +273,38 @@ class TestCellRates:
             assert len(list(fill)) == max(n // block_cells, 1)
         want = np.ascontiguousarray(cell_rates(state, coords).T).sum(axis=1)
         assert np.array_equal(reconstruct_cells(state, coords), want)
+
+    def test_core_values_fold_into_the_first_class_table(self):
+        state = init_explicit((5, 4, 3), (3, 2, 2), Q=6, core_mode="allocore",
+                              seed=3)
+        kappa = state.core_locations
+        tables = class_tables(state)
+        assert np.array_equal(
+            tables[0], state.core_values * state.factors[0][:, kappa[:, 0]])
+        for m in (1, 2):
+            assert np.array_equal(tables[m], state.factors[m][:, kappa[:, m]])
+
+    # free mode 0 indexed by a slice, as ``evaluation._fiber_yhats`` does; on
+    # one mode the product is the gather of table 0 alone
+    @pytest.mark.parametrize("shape", [(5, 4, 3), (5,)])
+    def test_rate_product_of_a_fiber_block_is_fresh(self, shape):
+        M = len(shape)
+        state = init_explicit(shape, (3,) * M, Q=6, core_mode="allocore", seed=4)
+        rng = np.random.default_rng(4)
+        stems = rng.integers(0, shape[1:], size=(7, M - 1))
+        index = [slice(None)] + [stems[:, [j]] for j in range(M - 1)]
+        tables = class_tables(state)
+        before = [t.copy() for t in tables]
+        rates = rate_product(tables, index)
+        assert rates.flags.c_contiguous and rates.flags.writeable
+        assert not any(np.shares_memory(rates, t) for t in tables)
+        # each stem's fiber in turn, each cell's rates as cell_rates has them
+        n_stems = len(stems) if M > 1 else 1
+        cells = np.column_stack([np.tile(np.arange(shape[0]), n_stems),
+                                 np.repeat(stems[:n_stems], shape[0], axis=0)])
+        assert np.array_equal(rates.reshape(-1, state.Q), cell_rates(state, cells).T)
+        rates[...] = -1.0
+        assert all(np.array_equal(t, b) for t, b in zip(tables, before))
 
 
 class TestEffectiveDims:
