@@ -148,6 +148,14 @@ class MaskCorrections:
     before the one left out from left to right and the modes after it from
     right to left, then the two parts; sums over stems run along the last
     axis of a C-ordered (Q, S) array, so each q's row adds in stem order.
+
+    Each stem mode keeps one contiguous column of stem indices. A mode's
+    (Q, S) column gathers the small (Q, D_m) rows of q's factor values first,
+    then takes the stems from them with ``np.take(..., axis=1)``, whose
+    result is C-ordered; fancy indexing ``rows[:, stems]`` gives a (Q, S)
+    array with transposed strides, whose row sums differ in the last bits.
+    A product starts from its first column and multiplies the others into
+    it in place, so a call holds only the columns it multiplies.
     """
 
     def __init__(self, mask: FiberMask | None, shape: tuple[int, ...]):
@@ -156,26 +164,37 @@ class MaskCorrections:
         if self.active:
             self.free_mode = mask.free_mode
             self.stem_modes = mask.stem_modes
-            self.stems = mask.stems
+            self.stem_columns = [np.ascontiguousarray(mask.stems[:, j])
+                                 for j in range(len(self.stem_modes))]
+
+    def _column(self, state: ModelState, j: int) -> np.ndarray:
+        """(Q, S): each stem's mode-m factor value at each q's sub-index,
+        where m is stem mode j."""
+        m = self.stem_modes[j]
+        rows = state.factors[m].T[state.core_locations[:, m]]
+        return np.take(rows, self.stem_columns[j], axis=1)
 
     def _stem_product(self, state: ModelState, skip: int = -1) -> np.ndarray:
         """(Q, S): product over the stem modes other than ``skip`` of each
-        stem's factor values at each q's sub-indices."""
-        kappa = state.core_locations
-
-        def column(j):
-            m = self.stem_modes[j]
-            return state.factors[m][self.stems[:, j], kappa[:, m, None]]
+        stem's factor values at each q's sub-indices; all ones when ``skip``
+        is the only stem mode."""
+        def product(js):
+            columns = (self._column(state, j) for j in js)
+            out = next(columns, None)
+            for column in columns:
+                out *= column
+            return out
 
         J = len(self.stem_modes)
         cut = self.stem_modes.index(skip) if skip in self.stem_modes else J
-        prefix = np.ones((state.Q, len(self.stems)))
-        suffix = np.ones_like(prefix)
-        for j in range(cut):
-            prefix *= column(j)
-        for j in range(J - 1, cut, -1):
-            suffix *= column(j)
-        return prefix * suffix
+        prefix = product(range(cut))
+        suffix = product(range(J - 1, cut, -1))
+        if prefix is None and suffix is None:
+            return np.ones((state.Q, len(self.stem_columns[0])))
+        if prefix is None or suffix is None:
+            return suffix if prefix is None else prefix
+        prefix *= suffix
+        return prefix
 
     def masked_rate_totals(self, state: ModelState,
                            colsums: list[np.ndarray]) -> np.ndarray:
@@ -192,7 +211,8 @@ class MaskCorrections:
         if m == self.free_mode:
             total = self._stem_product(state).sum(axis=1)
             return np.full((Q, D), total[:, None])
-        keys = np.arange(Q)[:, None] * D + self.stems[:, self.stem_modes.index(m)]
+        stems = self.stem_columns[self.stem_modes.index(m)]
+        keys = np.arange(Q)[:, None] * D + stems
         u = np.bincount(keys.ravel(), weights=self._stem_product(state, m).ravel(),
                         minlength=Q * D).reshape(Q, D)
         return u * colsums[self.free_mode][state.core_locations[:, self.free_mode, None]]

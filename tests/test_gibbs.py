@@ -484,28 +484,40 @@ class TestLocationSweepOrder:
 
 
 class TestMaskCorrections:
-    def _brute_setup(self, free_mode=2):
-        shape = (3, 3, 2)
+    def _brute_setup(self, free_mode=2, shape=(3, 3, 2)):
+        M = len(shape)
         rng = np.random.default_rng(0)
         cells = list(itertools.product(*[range(d) for d in shape]))
         counts = rng.integers(0, 4, size=len(cells))
         tensor = SparseCountTensor.from_entries(
             shape, [(c, int(v)) for c, v in zip(cells, counts) if v > 0])
-        others = [m for m in range(3) if m != free_mode]
+        others = [m for m in range(M) if m != free_mode]
         all_stems = list(itertools.product(*[range(shape[m]) for m in others]))
         stems = np.array(all_stems[:-1])  # mask everything except one fiber
         mask = FiberMask(free_mode=free_mode, stems=stems)
         train, heldout = split(tensor, mask)
-        state = init_explicit(shape, (2, 3, 2), 4, "allocore",
+        state = init_explicit(shape, (2, 3, 2)[:M], 4, "allocore",
                               Hyperparameters(f0=1.0), seed=7)
         observed = sorted(set(cells) - {tuple(r) for r in heldout.coords})
         return shape, train, mask, state, observed
 
-    @pytest.mark.parametrize("free_mode", [0, 1, 2])
-    def test_rate_sums_match_direct_summation(self, free_mode):
-        shape, train, mask, state, observed = self._brute_setup(free_mode)
+    @pytest.mark.parametrize("shape, free_mode", [
+        pytest.param((3, 3, 2), 0, id="0"),
+        pytest.param((3, 3, 2), 1, id="1"),
+        pytest.param((3, 3, 2), 2, id="2"),
+        # one stem mode, whose mode weights take the empty stem product
+        pytest.param((4, 5), 0, id="two-modes-0"),
+        pytest.param((4, 5), 1, id="two-modes-1"),
+    ])
+    def test_rate_sums_match_direct_summation(self, shape, free_mode):
+        shape, train, mask, state, observed = self._brute_setup(free_mode, shape)
+        M = len(shape)
         corr = MaskCorrections(mask, shape)
         src = thin_counts(state, train, substream(1, 1, THIN_BLOCK))
+
+        def others_product(q, c, skip=-1):
+            return np.prod([state.factors[mm][c[mm], state.core_locations[q, mm]]
+                            for mm in range(M) if mm != skip])
 
         # total observed rate
         brute_total = sum(cell_rates(state, np.array([c]))[:, 0].sum()
@@ -516,12 +528,11 @@ class TestMaskCorrections:
         # lambda rates
         _, rate = lambda_conditional_params(state, src, corr)
         for q in range(state.Q):
-            s = sum(np.prod([state.factors[m][c[m], state.core_locations[q, m]]
-                             for m in range(3)]) for c in observed)
+            s = sum(others_product(q, c) for c in observed)
             assert rate[q] == pytest.approx(state.hyper.b0 + s, rel=1e-12)
 
         # phi rates
-        for m in range(3):
+        for m in range(M):
             _, rate_m = phi_conditional_params(state, src, corr, m)
             for d in range(shape[m]):
                 for k in range(state.K[m]):
@@ -529,34 +540,73 @@ class TestMaskCorrections:
                     for q in range(state.Q):
                         if state.core_locations[q, m] != k:
                             continue
-                        s = sum(
-                            np.prod([state.factors[mm][c[mm],
-                                                       state.core_locations[q, mm]]
-                                     for mm in range(3) if mm != m])
-                            for c in observed if c[m] == d)
+                        s = sum(others_product(q, c, m)
+                                for c in observed if c[m] == d)
                         c_sum += state.core_values[q] * s
                     assert rate_m[d, k] == pytest.approx(
                         state.hyper.f0 + c_sum, rel=1e-11, abs=1e-12)
 
         # location conditionals
         for q in range(state.Q):
-            for m in range(3):
+            for m in range(M):
                 logw = location_log_weights(state, src, corr, m)[q]
                 for k in range(state.K[m]):
                     rate_term = 0.0
                     data = 0.0
                     for d in range(shape[m]):
-                        c_dq = sum(
-                            state.core_values[q]
-                            * np.prod([state.factors[mm][c[mm],
-                                                         state.core_locations[q, mm]]
-                                       for mm in range(3) if mm != m])
-                            for c in observed if c[m] == d)
+                        c_dq = sum(state.core_values[q] * others_product(q, c, m)
+                                   for c in observed if c[m] == d)
                         rate_term += state.factors[m][d, k] * c_dq
                         data += (src.mode_marginals[m][d, q]
                                  * np.log(state.factors[m][d, k]))
                     want = np.log(state.mode_priors[m][k]) + data - rate_term
                     assert logw[k] == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+        # a short masked chain
+        post = run_chain(train, mask, state, ChainConfig(burn_in=1, total=4, thin=2))
+        assert post.iterations == [3, 5]
+        for sample in post.samples:
+            sample.validate()
+            assert np.isfinite(observed_rate_total(sample, corr))
+
+    def test_stem_sums_run_over_c_ordered_rows(self):
+        # NumPy sums a C-ordered row pairwise; any other layout of the
+        # (Q, S) product, or a sequential sum, changes the last bits
+        shape, Q, free_mode = (30, 20, 6), 7, 2
+        rng = np.random.default_rng(3)
+        state = init_explicit(shape, (4, 5, 3), Q, "allocore",
+                              Hyperparameters(f0=1.0), seed=3)
+        for f in state.factors:
+            f *= rng.gamma(0.3, 1.0, size=f.shape)
+        stems = np.unique(rng.integers(0, (30, 20), size=(400, 2)), axis=0)
+        assert len(stems) >= 200
+        corr = MaskCorrections(FiberMask(free_mode=free_mode, stems=stems), shape)
+        kappa = state.core_locations
+        ref = np.empty((Q, len(stems)), order="F")
+        for q in range(Q):
+            for s, (i, j) in enumerate(stems):
+                ref[q, s] = (state.factors[0][i, kappa[q, 0]]
+                             * state.factors[1][j, kappa[q, 1]])
+        want = np.ascontiguousarray(ref).sum(axis=1)
+        assert not np.array_equal(ref.sum(axis=1), want)
+        colsums = [f.sum(axis=0) for f in state.factors]
+        s_free = colsums[free_mode][kappa[:, free_mode]]
+        assert np.array_equal(corr.masked_rate_totals(state, colsums), want * s_free)
+        w = corr.mode_weights(state, free_mode, colsums)
+        assert np.array_equal(w, np.broadcast_to(want[:, None], w.shape))
+
+    def test_corrections_peak_at_two_stem_tables(self):
+        # each call gathers only the (Q, S) columns it multiplies, and the
+        # stem-mode weights add one table of bincount keys
+        shape, Q = (60, 60, 10), 64
+        rng = np.random.default_rng(4)
+        stems = np.unique(rng.integers(0, 60, size=(3000, 2)), axis=0)
+        state = init_canonical(shape, Q, seed=4)
+        corr = MaskCorrections(FiberMask(free_mode=2, stems=stems), shape)
+        colsums = [f.sum(axis=0) for f in state.factors]
+        table = Q * len(stems) * 8
+        assert traced_peak(corr.masked_rate_totals, state, colsums) <= 2.1 * table
+        assert traced_peak(corr.mode_weights, state, 0, colsums) <= 2.1 * table
 
     def test_empty_mask_equals_uncorrected(self):
         train, state = random_instance(8)
