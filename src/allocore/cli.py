@@ -17,6 +17,7 @@ import shlex
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 
 import numpy as np
 
@@ -29,8 +30,8 @@ from .evaluation import (
     ppd_positive,
 )
 from .gibbs import ChainConfig, run_chain
-from .state import (Hyperparameters, _read_manifest, init_canonical,
-                    init_explicit, load_state, recover_state, save_state)
+from .state import (Hyperparameters, _read_manifest, init_explicit, load_state,
+                    recover_state, save_state)
 from .synthetic import (
     SyntheticConfig,
     default_config,
@@ -180,27 +181,26 @@ def cmd_mask(args, argv) -> int:
 # fit
 # ---------------------------------------------------------------------------
 
-def _mask_key(mask):
-    return None if mask is None else (mask.free_mode, mask.stems.tobytes())
+def _settings(state, data, mask, burnin, thin) -> dict:
+    """The settings a resumed chain must keep: the data, the mask, the
+    state's core mode, Q, K, seed and hyperparameters, burn-in and thin."""
+    return {"data": data,
+            "mask": None if mask is None else (mask.free_mode, mask.stems.tobytes()),
+            "mode": state.core_mode, "Q": state.Q, "K": state.K, "seed": state.seed,
+            "burnin": str(burnin), "thin": str(thin), **asdict(state.hyper)}
 
 
-def _check_resume(out, init, params: dict, mask, hyper, K) -> None:
-    """Refuse to continue a chain under settings other than the ones its
-    checkpoint and manifest record; only --iters may change."""
+def _check_resume(out, init, fresh, params: dict, mask) -> None:
+    """Refuse to continue the chain at ``init``, the checkpoint, under other
+    settings than the ones it and the run's manifest record; ``fresh`` is
+    the state that the flags would start a new chain from. Only --iters may
+    change."""
     man = _read_manifest(out)
     stored_mask = load_mask(os.path.join(out, man["mask"])) if man.get("mask") else None
-    core_mode = MODE_WORDS[params["mode"]]
-    K = tuple(K or [params["Q"]] * init.M)
-    stored = {"data": man.get("data"), "mask": _mask_key(stored_mask),
-              "mode": init.core_mode, "Q": init.Q, "K": init.K, "seed": init.seed,
-              "burnin": man.get("burnin"), "thin": man.get("thin")}
-    wanted = {"data": os.path.abspath(params["data"]), "mask": _mask_key(mask),
-              "mode": core_mode,
-              "Q": math.prod(K) if core_mode == "tucker_dense" else params["Q"],
-              "K": K, "seed": params["seed"],
-              "burnin": str(params["burnin"]), "thin": str(params["thin"])}
-    for name in ("a0", "b0", "e0", "f0", "alpha0"):
-        stored[name], wanted[name] = getattr(init.hyper, name), getattr(hyper, name)
+    stored = _settings(init, man.get("data"), stored_mask, man.get("burnin"),
+                       man.get("thin"))
+    wanted = _settings(fresh, os.path.abspath(params["data"]), mask,
+                       params["burnin"], params["thin"])
     differ = [k for k in wanted if wanted[k] != stored[k]]
     if differ:
         raise ValueError(f"{out}: cannot resume with settings that differ from "
@@ -218,32 +218,15 @@ def _fit_single(params: dict) -> str:
         mask = make_fiber_mask(tensor, _free_mode(params["mask_mode"], tensor.ndim),
                                params["mask_frac"], params["mask_seed"])
 
-    hyper = Hyperparameters(a0=params["a0"], b0=params["b0"],
-                            e0=params["e0"], f0=params["f0"],
-                            alpha0=params["alpha0"])
-    core_mode = MODE_WORDS[params["mode"]]
-    Q = params["Q"]
-    K = params["K"]
-
+    hyper_flags = {k: params[k] for k in ("a0", "b0", "e0", "f0", "alpha0")}
+    init = init_explicit(tensor.shape, params["K"], params["Q"],
+                         MODE_WORDS[params["mode"]], Hyperparameters(**hyper_flags),
+                         params["seed"])
     resume_from = os.path.join(out, "checkpoint")
     resuming = params["resume"] and recover_state(resume_from)
     if resuming:
-        init = load_state(resume_from)
-        _check_resume(out, init, params, mask, hyper, K)
-        seed_for_config = None
-    else:
-        if core_mode == "tucker_dense":
-            K = K or [Q] * tensor.ndim
-            init = init_explicit(tensor.shape, K, Q, core_mode, hyper,
-                                 params["seed"],
-                                 core_cell_limit=params["core_cell_limit"])
-        elif K is None:
-            init = init_canonical(tensor.shape, Q, hyper, params["seed"],
-                                  core_mode=core_mode)
-        else:
-            init = init_explicit(tensor.shape, K, Q, core_mode, hyper,
-                                 params["seed"])
-        seed_for_config = params["seed"]
+        fresh, init = init, load_state(resume_from)
+        _check_resume(out, init, fresh, params, mask)
 
     os.makedirs(out, exist_ok=True)
     mask_record = ""
@@ -255,20 +238,18 @@ def _fit_single(params: dict) -> str:
         train, _ = split(tensor, mask)
 
     config = ChainConfig(burn_in=params["burnin"], total=params["iters"],
-                         thin=params["thin"], seed=seed_for_config)
+                         thin=params["thin"])
     _write_manifest(out, "fit", params["argv"], {
         "data": os.path.abspath(params["data"]),
         "mask": mask_record,
         "mode": params["mode"],
         "Q": init.Q,
         "K": "x".join(str(k) for k in init.K),
-        "seed": init.seed if seed_for_config is None else seed_for_config,
+        "seed": init.seed,
         "burnin": params["burnin"],
         "iters": params["iters"],
         "thin": params["thin"],
-        "a0": params["a0"], "b0": params["b0"],
-        "e0": params["e0"], "f0": params["f0"], "alpha0": params["alpha0"],
-        "core_cell_limit": params["core_cell_limit"],
+        **hyper_flags,
     })
     samples = run_chain(train, mask, init, config, out_dir=out)
     print(f"{out}: saved {samples.S} samples (iterations {init.next_iteration}"
@@ -280,22 +261,7 @@ def cmd_fit(args, argv) -> int:
     q_values = _int_list(args.Q)
     if not q_values:
         raise ValueError("--Q must name at least one budget")
-    base = {
-        "data": args.data,
-        "mask": args.mask,
-        "mask_frac": args.mask_frac,
-        "mask_mode": args.mask_mode,
-        "mask_seed": args.mask_seed,
-        "mode": args.mode,
-        "K": _int_list(args.K) if args.K else None,
-        "a0": args.a0, "b0": args.b0, "e0": args.e0, "f0": args.f0,
-        "alpha0": args.alpha0,
-        "burnin": args.burnin, "iters": args.iters, "thin": args.thin,
-        "seed": args.seed,
-        "resume": args.resume,
-        "core_cell_limit": args.core_cell_limit,
-        "argv": argv,
-    }
+    base = dict(vars(args), K=_int_list(args.K) if args.K else None, argv=argv)
     if len(q_values) == 1:
         _fit_single({**base, "Q": q_values[0], "out": args.out})
         return 0
@@ -464,10 +430,14 @@ def cmd_classes(args, argv) -> int:
     vocabs = None
     if args.vocab:
         vocabs = []
-        for m in range(state.M):
+        for m, d in enumerate(state.shape):
             path = os.path.join(args.vocab, f"vocab_{m + 1}.txt")
-            vocabs.append(load_vocab(path) if os.path.exists(path)
-                          else [str(i + 1) for i in range(state.shape[m])])
+            labels = load_vocab(path) if os.path.exists(path) else [
+                str(i + 1) for i in range(d)]
+            if len(labels) != d:
+                raise ValueError(f"{path}: {len(labels)} labels for mode {m + 1} "
+                                 f"of size {d}")
+            vocabs.append(labels)
     classes = export_classes(state, args.out, args.n, args.threshold, vocabs)
     _write_manifest(args.out, "classes", argv, {
         "n": args.n,
@@ -565,7 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--resume", action="store_true",
                    help="continue from the checkpoint in --out")
-    p.add_argument("--core-cell-limit", type=int, default=10 ** 6)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("eval", help="score fitted runs on their heldout fibers")

@@ -50,6 +50,9 @@ INIT_BLOCK, THIN_BLOCK, LOCATION_BLOCK, LAMBDA_BLOCK, PHI_BLOCK, PI_BLOCK, DATA_
 
 STATE_FORMAT_VERSION = 1
 
+# Most cells a tucker_dense core may enumerate.
+CORE_CELL_LIMIT = 10 ** 6
+
 # Bytes of one block of rates: big enough that NumPy's per-call cost
 # vanishes, small enough that the block stays in cache.
 _BLOCK_BYTES = 1 << 20
@@ -177,82 +180,67 @@ def _categorical(rng: np.random.Generator, probs: np.ndarray, size: int) -> np.n
                       len(probs) - 1).astype(np.int64)
 
 
-def _build_state(shape, K, Q, core_mode, hyper, seed, placement) -> ModelState:
+def init_canonical(shape, Q: int, hyper: Hyperparameters | None = None,
+                   seed: int = 0, core_mode: str = "allocore") -> ModelState:
+    """``init_explicit`` with ``K=None``: the canonical K_m = Q."""
+    return init_explicit(shape, None, Q, core_mode, hyper, seed)
+
+
+def init_explicit(shape, K, Q: int, core_mode: str,
+                  hyper: Hyperparameters | None = None,
+                  seed: int = 0) -> ModelState:
+    """The one builder of a chain's initial state. Core values, factors and
+    location priors are drawn from their priors; where the Q entries sit
+    depends on K and the core mode:
+
+    * ``K=None`` means the canonical K_1 = ... = K_M = Q, with the entries
+      on the super-diagonal;
+    * given K, allocore draws the locations from the location prior and
+      cp_locked pins the first Q diagonal cells, which needs a hypercube
+      core with Q <= K;
+    * tucker_dense enumerates every core cell, so Q = prod(K) whatever Q
+      is given, up to ``CORE_CELL_LIMIT`` cells."""
+    if core_mode not in CORE_MODES:
+        raise ValueError(f"unknown core mode {core_mode!r}")
+    hyper = hyper or Hyperparameters()
     shape = tuple(int(d) for d in shape)
-    K = tuple(int(k) for k in K)
+    M = len(shape)
+    if Q < 1 and (K is None or core_mode != "tucker_dense"):
+        raise ValueError("budget Q must be at least 1")
+    diagonal = K is None or core_mode == "cp_locked"
+    K = tuple(int(k) for k in K) if K is not None else (Q,) * M
+    if len(K) != M:
+        raise ValueError("K must give one latent dimension per mode")
+    if any(k < 1 for k in K):
+        raise ValueError("latent dimensions must be at least 1")
+    if core_mode == "tucker_dense":
+        Q = math.prod(K)
+        if Q > CORE_CELL_LIMIT:
+            raise ValueError(f"dense core of {Q} cells exceeds the limit "
+                             f"of {CORE_CELL_LIMIT}")
+    if core_mode == "cp_locked":
+        if len(set(K)) != 1:
+            raise ValueError("cp_locked requires equal latent dimensions in every mode")
+        if Q > K[0]:
+            raise ValueError("cp_locked requires Q <= K to fit the super-diagonal")
+
     rng = substream(seed, 0, INIT_BLOCK)
     core_values = np.maximum(rng.gamma(hyper.a0, 1.0 / hyper.b0, size=Q), TINY)
     factors = [np.maximum(rng.gamma(hyper.e0, 1.0 / hyper.f0, size=(d, k)), TINY)
                for d, k in zip(shape, K)]
     mode_priors = [rng.dirichlet(hyper.alpha_vector(k)) for k in K]
-
-    M = len(shape)
-    if placement == "diagonal":
+    if core_mode == "tucker_dense":
+        locations = np.stack(np.unravel_index(np.arange(Q), K), axis=1).astype(np.int64)
+    elif diagonal:
         locations = np.arange(Q, dtype=np.int64)[:, None] * np.ones(M, dtype=np.int64)
-    elif placement == "enumerate":
-        locations = np.stack(
-            np.unravel_index(np.arange(Q), K), axis=1).astype(np.int64)
-    elif placement == "prior":
-        locations = np.empty((Q, M), dtype=np.int64)
-        for m in range(M):
-            locations[:, m] = _categorical(rng, mode_priors[m], Q)
-    else:  # pragma: no cover
-        raise ValueError(placement)
+    else:
+        locations = np.stack([_categorical(rng, p, Q) for p in mode_priors], axis=1)
 
     state = ModelState(shape=shape, hyper=hyper, factors=factors,
                        core_values=core_values, core_locations=locations,
                        mode_priors=mode_priors, core_mode=core_mode, seed=int(seed))
     state.validate()
     return state
-
-
-def init_canonical(shape, Q: int, hyper: Hyperparameters | None = None,
-                   seed: int = 0, core_mode: str = "allocore") -> ModelState:
-    """Canonical configuration: K_1 = ... = K_M = Q with the core initialized
-    on the super-diagonal; values, factors, and priors drawn from their
-    priors."""
-    if Q < 1:
-        raise ValueError("budget Q must be at least 1")
-    hyper = hyper or Hyperparameters()
-    if core_mode == "tucker_dense":
-        return init_explicit(shape, (Q,) * len(shape), Q, core_mode, hyper, seed)
-    if core_mode not in CORE_MODES:
-        raise ValueError(f"unknown core mode {core_mode!r}")
-    return _build_state(shape, (Q,) * len(shape), Q, core_mode, hyper, seed,
-                        placement="diagonal")
-
-
-def init_explicit(shape, K, Q: int, core_mode: str,
-                  hyper: Hyperparameters | None = None, seed: int = 0,
-                  core_cell_limit: int = 10 ** 6) -> ModelState:
-    """Non-cubic cores. allocore draws initial locations from the location
-    prior; cp_locked pins the first Q diagonal cells; tucker_dense enumerates
-    every core cell (rejected above ``core_cell_limit``)."""
-    hyper = hyper or Hyperparameters()
-    K = tuple(int(k) for k in K)
-    if len(K) != len(shape):
-        raise ValueError("K must give one latent dimension per mode")
-    if any(k < 1 for k in K):
-        raise ValueError("latent dimensions must be at least 1")
-    if core_mode == "tucker_dense":
-        cells = math.prod(K)
-        if cells > core_cell_limit:
-            raise ValueError(
-                f"dense core of {cells} cells exceeds the configured limit "
-                f"of {core_cell_limit}")
-        return _build_state(shape, K, cells, core_mode, hyper, seed,
-                            placement="enumerate")
-    if Q < 1:
-        raise ValueError("budget Q must be at least 1")
-    if core_mode == "cp_locked":
-        if len(set(K)) != 1:
-            raise ValueError("cp_locked requires equal latent dimensions in every mode")
-        if Q > K[0]:
-            raise ValueError("cp_locked requires Q <= K to fit the super-diagonal")
-        return _build_state(shape, K, Q, core_mode, hyper, seed, placement="diagonal")
-    if core_mode != "allocore":
-        raise ValueError(f"unknown core mode {core_mode!r}")
-    return _build_state(shape, K, Q, core_mode, hyper, seed, placement="prior")
 
 
 def core_value_at(state: ModelState, kappa) -> float:
@@ -491,6 +479,8 @@ def load_state(dirpath) -> ModelState:
         seed = int(man["seed"])
         next_iteration = int(man["next_iteration"])
         declared = man["checksum"]
+        gamma = {k: float(man[k]) for k in ("a0", "b0", "e0", "f0")}
+        alpha = {float(a) for a in man["alpha0"].split()}
     except KeyError as exc:
         raise ValueError(f"{dirpath}: manifest missing key {exc}") from None
     if version != STATE_FORMAT_VERSION:
@@ -506,15 +496,12 @@ def load_state(dirpath) -> ModelState:
 
     # Older manifests repeat alpha0 once per mode and carry
     # divide_alpha_by_k=0; states of any other model are refused.
-    alpha = {float(a) for a in man["alpha0"].split()}
     if len(alpha) != 1:
         raise ValueError(f"{dirpath}: alpha0={man['alpha0']} is not one shared value")
     if man.get("divide_alpha_by_k", "0") != "0":
         raise ValueError(f"{dirpath}: divide_alpha_by_k="
                          f"{man['divide_alpha_by_k']} is not supported")
-    hyper = Hyperparameters(a0=float(man["a0"]), b0=float(man["b0"]),
-                            e0=float(man["e0"]), f0=float(man["f0"]),
-                            alpha0=alpha.pop())
+    hyper = Hyperparameters(**gamma, alpha0=alpha.pop())
 
     factors = []
     for m in range(M):

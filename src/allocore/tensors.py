@@ -53,7 +53,12 @@ class SparseCountTensor:
         shape = tuple(int(d) for d in self.shape)
         if len(shape) == 0 or any(d <= 0 for d in shape):
             raise ValueError(f"invalid tensor shape {shape}")
-        coords = np.asarray(self.coords, dtype=np.int64).reshape(-1, len(shape))
+        coords = np.asarray(self.coords, dtype=np.int64)
+        if coords.size == 0:
+            coords = coords.reshape(0, len(shape))
+        if coords.ndim != 2 or coords.shape[1] != len(shape):
+            raise ValueError(f"coordinates of shape {coords.shape} do not give "
+                             f"{len(shape)} indices per cell")
         counts = np.asarray(self.counts, dtype=np.int64).reshape(-1)
         if coords.shape[0] != counts.shape[0]:
             raise ValueError("coords and counts disagree in length")

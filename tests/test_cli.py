@@ -181,6 +181,21 @@ class TestFit:
         assert run_cli("fit", *common, "--iters", "2", "--resume") == 0
         assert (tmp_path / "run" / "samples" / "sample_0002").is_dir()
 
+    @pytest.mark.parametrize("first, then, named", [
+        (["--mode", "tucker", "--Q", "2"], ["--mode", "tucker", "--Q", "2", "--K", "2,2,1"],
+         "Q, K"),
+        (["--mode", "cp", "--Q", "3"], ["--mode", "allocore", "--Q", "3"], "mode"),
+    ], ids=["tucker-K", "cp-to-allocore"])
+    def test_resume_refuses_another_core(self, synth_coo, tmp_path, capsys, first,
+                                         then, named):
+        common = ["--data", synth_coo, "--burnin", "0", "--thin", "1", "--seed", "2",
+                  "--out", tmp_path / "run"]
+        assert run_cli("fit", *common, *first, "--iters", "1") == 0
+        capsys.readouterr()
+        assert run_cli("fit", *common, *then, "--iters", "2", "--resume") == 2
+        assert capsys.readouterr().err.rstrip().endswith(f"the run's: {named}")
+        assert not (tmp_path / "run" / "samples" / "sample_0002").exists()
+
     def test_format_flag_gone(self, synth_coo, tmp_path):
         # fit reads COO only; events go through 'allocore ingest'
         with pytest.raises(SystemExit) as exc:
@@ -191,7 +206,6 @@ class TestFit:
     def test_tucker_over_limit_refused(self, synth_coo, tmp_path, capsys):
         rc = run_cli("fit", "--data", synth_coo, "--mode", "tucker",
                      "--Q", "1", "--K", "200,200,100",
-                     "--core-cell-limit", "1000000",
                      "--burnin", "0", "--iters", "1", "--thin", "1",
                      "--out", tmp_path / "run")
         assert rc == 2
@@ -409,6 +423,21 @@ class TestClassesCommand:
         assert rc == 0
         index = (out / "index.tsv").read_text().splitlines()
         assert len(index) - 1 <= 3
+
+    def test_short_vocabulary_refused(self, synth_coo, tmp_path, capsys):
+        run = tmp_path / "run"
+        run_cli("fit", "--data", synth_coo, "--Q", "2", "--burnin", "0",
+                "--iters", "2", "--thin", "2", "--seed", "2", "--out", run)
+        vocab = tmp_path / "vocab"
+        vocab.mkdir()
+        (vocab / "vocab_1.txt").write_text("a\nb\n")
+        capsys.readouterr()
+        rc = run_cli("classes", "--run", run, "--vocab", vocab, "--out",
+                     tmp_path / "classes")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "vocab_1.txt: 2 labels for mode 1 of size 40" in err
+        assert not (tmp_path / "classes").exists()
 
     def test_threshold_flag_respected(self, synth_coo, tmp_path):
         run = tmp_path / "run"

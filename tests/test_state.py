@@ -94,10 +94,21 @@ class TestInitExplicit:
         assert state.Q == 7200
         assert effective_dims(state)[0] == 7200
 
-    def test_dense_core_limit(self):
+    def test_dense_core_limit(self, monkeypatch):
+        monkeypatch.setattr(state_module, "CORE_CELL_LIMIT", 7199)
         with pytest.raises(ValueError, match="7200"):
             init_explicit((25, 25, 8, 5), (20, 20, 6, 3), Q=1,
-                          core_mode="tucker_dense", seed=0, core_cell_limit=7199)
+                          core_mode="tucker_dense", seed=0)
+
+    @pytest.mark.parametrize("core_mode, Q", [
+        ("allocore", 3), ("cp_locked", 3), ("tucker_dense", 27)])
+    def test_no_k_is_canonical(self, core_mode, Q):
+        state = init_explicit((4, 5, 3), None, 3, core_mode, seed=2)
+        assert state.K == (3, 3, 3) and state.Q == Q
+        assert effective_dims(state)[0] == Q
+        if core_mode != "tucker_dense":
+            assert np.array_equal(state.core_locations,
+                                  np.arange(3)[:, None] * np.ones(3, dtype=np.int64))
 
     def test_sparse_large_core(self):
         state = init_explicit((60, 60, 8, 12), (50, 50, 6, 10), Q=400,
@@ -442,6 +453,15 @@ class TestStateIO:
         save_state(init_canonical((3, 3), Q=2, seed=0), tmp_path / "st")
         self._older_layout(tmp_path / "st" / "manifest.txt", alpha0, divide)
         with pytest.raises(ValueError, match=key):
+            load_state(tmp_path / "st")
+
+    @pytest.mark.parametrize("key", ["a0", "b0", "e0", "f0", "alpha0"])
+    def test_missing_hyperparameter_named(self, tmp_path, key):
+        save_state(init_canonical((3, 3), Q=2, seed=0), tmp_path / "st")
+        man = tmp_path / "st" / "manifest.txt"
+        man.write_text("".join(line for line in man.read_text().splitlines(True)
+                               if not line.startswith(f"{key}=")))
+        with pytest.raises(ValueError, match=f"manifest missing key '{key}'"):
             load_state(tmp_path / "st")
 
     def test_corruption_detected(self, tmp_path):

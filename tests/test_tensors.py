@@ -55,6 +55,14 @@ class TestSparseCountTensor:
         with pytest.raises(ValueError):
             SparseCountTensor((2, 2), [[0, 0], [0, 0]], [1, 1])
 
+    def test_rejects_coordinates_of_another_width(self):
+        # the twelve indices would read as four 3-mode cells never given
+        with pytest.raises(ValueError, match="3 indices per cell"):
+            SparseCountTensor((4, 4, 4), np.zeros((6, 2), dtype=np.int64),
+                              [1, 1, 1, 1])
+        empty = SparseCountTensor((4, 4, 4), [], [])
+        assert empty.nnz == 0 and empty.coords.shape == (0, 3)
+
     def test_from_entries_aggregates(self):
         t = SparseCountTensor.from_entries((3, 3), [((0, 0), 1), ((0, 0), 2)])
         assert t.nnz == 1 and cell_counts(t) == {(0, 0): 3}
