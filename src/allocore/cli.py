@@ -4,8 +4,9 @@ Every command writes a manifest into its output directory recording the
 exact invocation, one key=value per line (a newline in a value is written
 as backslash-n). Mode indices and coordinates are 1-based on the command
 line and in all files. The environment variable ALLOCORE_THREADS, a positive
-integer (default 1), bounds the worker pool used for fit sweeps over several
-Q values.
+integer (default 1), bounds the worker processes used for fit sweeps over
+several Q values. It does not bound eval, which scores held-out fibers on the
+calling thread and one helper thread of its own (see ``evaluation``).
 """
 
 from __future__ import annotations

@@ -14,6 +14,16 @@ times the whole free-mode table. A set without a layout (such as
 ``reconstruct_cells``. Both give the same bits as scoring every cell on its
 own with one log-sum-exp over all cells.
 
+The fiber path runs on two threads: the calling thread and one helper,
+opened and joined inside the call. Both draw blocks from one shared
+iterator and write each block's masses to its own slice of the output, so
+two blocks are in flight at a time and the bits do not depend on which
+thread scored a block. The product, its sum over q and the log masses are
+NumPy loops that release the GIL, so the second block runs on a second
+core. The helper is used only where two blocks and two CPUs exist. The cell
+path stays on the calling thread: it takes a small share of an eval, and
+profilers that wrap ``reconstruct_cells`` assume that one thread calls it.
+
 ``train_loglik`` scores one sample at a time over every training non-zero.
 ``reconstruct_cells`` sums each block of cells' rates as it is made, so no
 (n_cells, Q) table is held there either.
@@ -21,9 +31,11 @@ own with one log-sum-exp over all cells.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,10 +83,19 @@ def _fiber_yhats(samples: PosteriorSamples, layout: FiberMask):
     return block_yhats
 
 
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _log_mixture_masses(samples: PosteriorSamples, heldout: HeldoutSet) -> np.ndarray:
     """log of each heldout cell's Poisson mass averaged over the samples,
     streamed over blocks of cells, or of whole fibers when the set has a
-    layout."""
+    layout. Fiber blocks are shared by the calling thread and one helper
+    thread (see the module docstring); each block is scored whole by one
+    thread, so the result does not depend on which."""
     layout = heldout.layout
     if layout is None:
         unit_cells, n_units = 1, heldout.n_cells
@@ -87,10 +108,28 @@ def _log_mixture_masses(samples: PosteriorSamples, heldout: HeldoutSet) -> np.nd
         block_yhats = _fiber_yhats(samples, layout)
     Q = max(state.Q for state in samples.samples)
     out = np.empty(heldout.n_cells)
-    for lo, hi in row_blocks(n_units, unit_cells * Q):
-        cells = slice(lo * unit_cells, hi * unit_cells)
-        masses = poisson_logpmf(heldout.counts[cells], block_yhats(lo, hi))
-        out[cells] = logsumexp(masses, axis=0) - math.log(samples.S)
+    edges = list(row_blocks(n_units, unit_cells * Q))
+    blocks = iter(edges)
+
+    def score():
+        try:
+            for lo, hi in blocks:
+                cells = slice(lo * unit_cells, hi * unit_cells)
+                masses = poisson_logpmf(heldout.counts[cells], block_yhats(lo, hi))
+                out[cells] = logsumexp(masses, axis=0) - math.log(samples.S)
+        finally:
+            # after an error, leave the other thread no further blocks
+            for _ in blocks:
+                pass
+
+    if layout is not None and len(edges) > 1 and _cpus() > 1:
+        with ThreadPoolExecutor(1) as helper:
+            # the copied context carries the caller's np.errstate
+            helped = helper.submit(contextvars.copy_context().run, score)
+            score()
+            helped.result()
+    else:
+        score()
     return out
 
 
@@ -207,11 +246,18 @@ def export_classes(state: ModelState, out_dir, n: int,
 
 def load_samples(run_dir) -> PosteriorSamples:
     """Read the saved posterior states of a fitted run directory, in chain
-    order."""
+    order. A sample whose rewrite stopped between ``save_state``'s two
+    renames is left only as ``.sample_NNNN.old``; it is read too, after
+    ``load_state`` moves it back."""
     sample_root = os.path.join(run_dir, "samples")
     if not os.path.isdir(sample_root):
         raise ValueError(f"{run_dir}: no samples directory")
-    names = [d for d in os.listdir(sample_root) if d.startswith("sample_")]
+    names = set()
+    for entry in os.listdir(sample_root):
+        if entry.startswith(".sample_") and entry.endswith(".old"):
+            entry = entry[1:-len(".old")]
+        if entry.startswith("sample_"):
+            names.add(entry)
     if not names:
         raise ValueError(f"{run_dir}: no saved samples")
     # By iteration, not by name: sample_10000 sorts before sample_1001.

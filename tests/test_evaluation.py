@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -119,6 +122,25 @@ def reference_log_masses(samples, heldout):
     return logsumexp(per_sample, axis=0) - math.log(samples.S)
 
 
+def fiber_case(shape, free_mode, monkeypatch, stems_per_block):
+    """Ten samples and a held-out set of 15 fibers of a random tensor, with
+    the block size set to ``stems_per_block`` stems of 12 classes."""
+    rng = np.random.default_rng(sum(shape) + free_mode)
+    dense = rng.poisson(1.5, size=shape)
+    X = SparseCountTensor(shape, np.argwhere(dense), dense[dense > 0])
+    candidates = math.prod(shape) // shape[free_mode]
+    mask = make_fiber_mask(X, free_mode, 15.5 / candidates, seed=3)
+    _, heldout = split(X, mask)
+    assert heldout.layout is mask and mask.n_stems == 15
+    Q, d_free = 12, shape[free_mode]
+    samples = as_samples(*[init_explicit(shape, (3,) * len(shape), Q,
+                                         "allocore", seed=s)
+                           for s in range(10)])
+    monkeypatch.setattr(state_module, "_BLOCK_BYTES",
+                        8 * Q * d_free * stems_per_block)
+    return samples, heldout
+
+
 class TestFiberPpdExact:
     """The fiber-blocked ppd against the cell-by-cell form, bit for bit.
     S = 10 because a logsumexp over one column adds its S terms pairwise,
@@ -129,25 +151,18 @@ class TestFiberPpdExact:
         ((4, 3, 5, 3), 0), ((4, 3, 5, 3), 2), ((4, 3, 5, 3), 3),
         ((7, 5, 1), 2),
     ])
-    @pytest.mark.parametrize("stems_per_block", [4, 7])
+    @pytest.mark.parametrize("stems_per_block", [2, 4, 7])
     def test_blocked_fibers_equal_cell_reference(self, shape, free_mode,
                                                  stems_per_block, monkeypatch):
-        rng = np.random.default_rng(sum(shape) + free_mode)
-        dense = rng.poisson(1.5, size=shape)
-        X = SparseCountTensor(shape, np.argwhere(dense), dense[dense > 0])
-        candidates = math.prod(shape) // shape[free_mode]
-        mask = make_fiber_mask(X, free_mode, 15.5 / candidates, seed=3)
-        _, heldout = split(X, mask)
-        assert heldout.layout is mask and mask.n_stems == 15
-        Q, d_free = 12, shape[free_mode]
-        samples = as_samples(*[init_explicit(shape, (3,) * len(shape), Q,
-                                             "allocore", seed=s)
-                               for s in range(10)])
-        # 15 stems in blocks of 4 (4, 4, 4, 3) or 7 (7, 8): the one-stem
-        # last block joins the one before it.
-        monkeypatch.setattr(state_module, "_BLOCK_BYTES",
-                            8 * Q * d_free * stems_per_block)
-        assert len(list(row_blocks(15, d_free * Q))) >= 2
+        samples, heldout = fiber_case(shape, free_mode, monkeypatch,
+                                      stems_per_block)
+        # 15 stems in blocks of 2 (seven blocks, the last of 3), 4 (4, 4, 4,
+        # 3) or 7 (7, 8): a one-stem last block joins the one before it.
+        # The fiber blocks are shared by two threads whatever the host.
+        monkeypatch.setattr(evaluation, "_cpus", lambda: 2)
+        d_free = shape[free_mode]
+        assert len(list(row_blocks(15, d_free * 12))) == {2: 7, 4: 4, 7: 2}[
+            stems_per_block]
 
         want = reference_log_masses(samples, heldout)
         cells = HeldoutSet(heldout.coords, heldout.counts)
@@ -171,6 +186,62 @@ class TestFiberPpdExact:
         assert list(row_blocks(5, 12)) == [(0, 2), (2, 5)]
         assert list(row_blocks(1, 12)) == [(0, 1)]
         assert list(row_blocks(0, 12)) == []
+
+
+class TestTwoThreadScoring:
+    """The fiber path's blocks are shared by the calling thread and one
+    helper thread, opened and joined inside each call."""
+
+    def test_error_in_a_block_is_raised_and_no_thread_left(self, monkeypatch):
+        samples, heldout = fiber_case((6, 5, 4), 2, monkeypatch, 2)
+        monkeypatch.setattr(evaluation, "_cpus", lambda: 2)
+        calls = itertools.count(1)
+        logpmf = evaluation.poisson_logpmf
+
+        def third_fails(counts, rates):
+            if next(calls) == 3:
+                raise FloatingPointError("third block")
+            return logpmf(counts, rates)
+
+        monkeypatch.setattr(evaluation, "poisson_logpmf", third_fails)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="third block"):
+            ppd(samples, heldout)
+        assert threading.active_count() == before
+        # the blocks left were not scored once the error was seen
+        assert next(calls) < 8
+
+    def test_both_threads_score_under_the_callers_errstate(self, monkeypatch):
+        samples, heldout = fiber_case((6, 5, 4), 2, monkeypatch, 2)
+        monkeypatch.setattr(evaluation, "_cpus", lambda: 2)
+        want = reference_log_masses(samples, heldout)
+        logpmf = evaluation.poisson_logpmf
+        divide = {}
+        calls = itertools.count(1)
+        # each thread's first block waits for the other thread's first
+        # block, so both threads score
+        meet = threading.Barrier(2, timeout=30)
+
+        def recording(counts, rates):
+            next(calls)
+            thread = threading.get_ident()
+            if thread not in divide:
+                divide[thread] = np.geterr()["divide"]
+                meet.wait()
+            return logpmf(counts, rates)
+
+        monkeypatch.setattr(evaluation, "poisson_logpmf", recording)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with np.errstate(divide="raise"):
+                got = evaluation._log_mixture_masses(samples, heldout)
+        finally:
+            sys.setswitchinterval(switch)
+        assert list(divide.values()) == ["raise", "raise"]
+        # seven blocks, each scored once
+        assert next(calls) == 8
+        assert np.array_equal(got, want)
 
 
 class TestPpdPositive:
@@ -354,6 +425,22 @@ def test_load_samples_in_iteration_order(tmp_path):
         state.next_iteration = index + 1
         save_state(state, tmp_path / "samples" / f"sample_{index:04d}")
     assert load_samples(tmp_path).iterations == [999, 1000, 1001, 10000]
+
+
+def test_load_samples_reads_a_sample_stopped_between_renames(tmp_path):
+    base = unit_state((2, 2))
+    root = tmp_path / "samples"
+    for index in (1, 2, 3):
+        state = base.snapshot()
+        state.next_iteration = index + 1
+        save_state(state, root / f"sample_{index:04d}")
+    # a rewrite of sample 2 stopped after moving the old state aside; one of
+    # sample 3 stopped before removing it, and one of sample 1 mid-write
+    os.rename(root / "sample_0002", root / ".sample_0002.old")
+    save_state(base, root / ".sample_0003.old")
+    save_state(base, root / ".sample_0001.tmp")
+    assert load_samples(tmp_path).iterations == [1, 2, 3]
+    assert sorted(os.listdir(root)) == ["sample_0001", "sample_0002", "sample_0003"]
 
 
 def test_load_samples_missing_dir(tmp_path):

@@ -4,8 +4,10 @@
 one-sweep chain and on the scoring of its sample."""
 
 import os
+import threading
 
-from allocore import evaluation, gibbs, init_canonical, make_fiber_mask, split
+from allocore import (evaluation, gibbs, init_canonical, make_fiber_mask, split,
+                      state)
 from allocore.state import THIN_BLOCK, substream
 from allocore.synthetic import SyntheticConfig, generate
 
@@ -65,8 +67,19 @@ def test_traced_masked_sweep_records_every_layer(tmp_path, monkeypatch):
         assert _owner(mod).__dict__[attr] is original
 
     # the eval phase, as the benchmark runs it: every call through the
-    # module attribute it is wrapped under
+    # module attribute it is wrapped under. Blocks of two stems and two CPUs
+    # put the fiber path on two threads.
+    monkeypatch.setattr(state, "_BLOCK_BYTES", 8 * 2 * X.shape[2] * init.Q)
+    monkeypatch.setattr(evaluation, "_cpus", lambda: 2)
     recorder = spans.SpanRecorder()
+    threads = set()
+    begin = recorder.begin
+
+    def begin_on_thread(name):
+        threads.add(threading.get_ident())
+        return begin(name)
+
+    recorder.begin = begin_on_thread
     undo = spans.instrument(recorder, spans.EVAL_TARGETS)
     try:
         samples = evaluation.load_samples(str(tmp_path / "run"))
@@ -77,6 +90,14 @@ def test_traced_masked_sweep_records_every_layer(tmp_path, monkeypatch):
     finally:
         undo()
 
+    # every span begins on the calling thread and lies inside its parent's:
+    # the recorder keeps one stack of open spans, which a span begun on
+    # another thread would corrupt
+    assert threads == {threading.get_ident()}
+    for name, start, end, parent in recorder.spans:
+        if parent >= 0:
+            _, parent_start, parent_end, _ = recorder.spans[parent]
+            assert parent_start <= start <= end <= parent_end, name
     stats = spans.span_stats(recorder.spans)
     for _, _, name, *_ in spans.EVAL_TARGETS:
         assert stats[name]["calls"] >= 1, name
