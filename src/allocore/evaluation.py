@@ -20,9 +20,10 @@ iterator and write each block's masses to its own slice of the output, so
 two blocks are in flight at a time and the bits do not depend on which
 thread scored a block. The product, its sum over q and the log masses are
 NumPy loops that release the GIL, so the second block runs on a second
-core. The helper is used only where two blocks and two CPUs exist. The cell
-path stays on the calling thread: it takes a small share of an eval, and
-profilers that wrap ``reconstruct_cells`` assume that one thread calls it.
+core; with one block the helper finds no block left. The helper scores under
+the caller's NumPy error state. The cell path stays on the calling thread:
+it takes a small share of an eval, and profilers that wrap
+``reconstruct_cells`` assume that one thread calls it.
 
 ``train_loglik`` scores one sample at a time over every training non-zero.
 ``reconstruct_cells`` sums each block of cells' rates as it is made, so no
@@ -31,7 +32,6 @@ profilers that wrap ``reconstruct_cells`` assume that one thread calls it.
 
 from __future__ import annotations
 
-import contextvars
 import math
 import os
 import warnings
@@ -83,13 +83,6 @@ def _fiber_yhats(samples: PosteriorSamples, layout: FiberMask):
     return block_yhats
 
 
-def _cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _log_mixture_masses(samples: PosteriorSamples, heldout: HeldoutSet) -> np.ndarray:
     """log of each heldout cell's Poisson mass averaged over the samples,
     streamed over blocks of cells, or of whole fibers when the set has a
@@ -108,8 +101,8 @@ def _log_mixture_masses(samples: PosteriorSamples, heldout: HeldoutSet) -> np.nd
         block_yhats = _fiber_yhats(samples, layout)
     Q = max(state.Q for state in samples.samples)
     out = np.empty(heldout.n_cells)
-    edges = list(row_blocks(n_units, unit_cells * Q))
-    blocks = iter(edges)
+    # a list's iterator, unlike a generator, may be drawn from by two threads
+    blocks = iter(list(row_blocks(n_units, unit_cells * Q)))
 
     def score():
         try:
@@ -122,14 +115,21 @@ def _log_mixture_masses(samples: PosteriorSamples, heldout: HeldoutSet) -> np.nd
             for _ in blocks:
                 pass
 
-    if layout is not None and len(edges) > 1 and _cpus() > 1:
-        with ThreadPoolExecutor(1) as helper:
-            # the copied context carries the caller's np.errstate
-            helped = helper.submit(contextvars.copy_context().run, score)
-            score()
-            helped.result()
-    else:
+    if layout is None:
         score()
+        return out
+    # NumPy keeps the error state per thread (1.x) or per context (2.x), so
+    # the helper sets the caller's own
+    errstate = dict(np.geterr(), call=np.geterrcall())
+
+    def helper_score():
+        with np.errstate(**errstate):
+            score()
+
+    with ThreadPoolExecutor(1) as helper:
+        helped = helper.submit(helper_score)
+        score()
+        helped.result()
     return out
 
 
@@ -261,5 +261,6 @@ def load_samples(run_dir) -> PosteriorSamples:
     if not names:
         raise ValueError(f"{run_dir}: no saved samples")
     # By iteration, not by name: sample_10000 sorts before sample_1001.
-    samples = [load_state(os.path.join(sample_root, name)) for name in names]
+    samples = [load_state(os.path.join(sample_root, name))
+               for name in sorted(names)]
     return PosteriorSamples(sorted(samples, key=lambda st: st.next_iteration))

@@ -158,8 +158,6 @@ class TestFiberPpdExact:
                                       stems_per_block)
         # 15 stems in blocks of 2 (seven blocks, the last of 3), 4 (4, 4, 4,
         # 3) or 7 (7, 8): a one-stem last block joins the one before it.
-        # The fiber blocks are shared by two threads whatever the host.
-        monkeypatch.setattr(evaluation, "_cpus", lambda: 2)
         d_free = shape[free_mode]
         assert len(list(row_blocks(15, d_free * 12))) == {2: 7, 4: 4, 7: 2}[
             stems_per_block]
@@ -194,7 +192,6 @@ class TestTwoThreadScoring:
 
     def test_error_in_a_block_is_raised_and_no_thread_left(self, monkeypatch):
         samples, heldout = fiber_case((6, 5, 4), 2, monkeypatch, 2)
-        monkeypatch.setattr(evaluation, "_cpus", lambda: 2)
         calls = itertools.count(1)
         logpmf = evaluation.poisson_logpmf
 
@@ -213,7 +210,6 @@ class TestTwoThreadScoring:
 
     def test_both_threads_score_under_the_callers_errstate(self, monkeypatch):
         samples, heldout = fiber_case((6, 5, 4), 2, monkeypatch, 2)
-        monkeypatch.setattr(evaluation, "_cpus", lambda: 2)
         want = reference_log_masses(samples, heldout)
         logpmf = evaluation.poisson_logpmf
         divide = {}

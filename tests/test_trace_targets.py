@@ -67,10 +67,9 @@ def test_traced_masked_sweep_records_every_layer(tmp_path, monkeypatch):
         assert _owner(mod).__dict__[attr] is original
 
     # the eval phase, as the benchmark runs it: every call through the
-    # module attribute it is wrapped under. Blocks of two stems and two CPUs
-    # put the fiber path on two threads.
+    # module attribute it is wrapped under. Blocks of two stems give both
+    # threads of the fiber path blocks to score.
     monkeypatch.setattr(state, "_BLOCK_BYTES", 8 * 2 * X.shape[2] * init.Q)
-    monkeypatch.setattr(evaluation, "_cpus", lambda: 2)
     recorder = spans.SpanRecorder()
     threads = set()
     begin = recorder.begin
