@@ -30,9 +30,8 @@ from .evaluation import (
     ppd_constant_baseline,
     ppd_positive,
 )
-from .gibbs import ChainConfig, run_chain
-from .state import (Hyperparameters, _read_manifest, init_explicit, load_state,
-                    recover_state, save_state)
+from .gibbs import CHAIN_LOG_NAME, ChainConfig, run_chain
+from .state import Hyperparameters, init_explicit, load_state, recover_state, save_state
 from .synthetic import (
     SyntheticConfig,
     default_config,
@@ -50,8 +49,10 @@ from .tensors import (
     load_mask,
     load_vocab,
     make_fiber_mask,
+    read_manifest,
     split,
     write_coo,
+    write_manifest,
     write_mask,
     write_vocab,
 )
@@ -75,15 +76,13 @@ def _threads() -> int:
 
 def _write_manifest(out_dir, command: str, argv: list[str], extra: dict) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    lines = [
-        f"command={command}",
-        f"argv={shlex.join(argv)}",
-        f"artifact_version={__version__}",
-        f"created={time.strftime('%Y-%m-%dT%H:%M:%S')}",
-    ]
-    lines += [f"{k}={v}" for k, v in extra.items()]
-    with open(os.path.join(out_dir, "manifest.txt"), "w") as f:
-        f.write("\n".join(line.replace("\n", "\\n") for line in lines) + "\n")
+    write_manifest(os.path.join(out_dir, "manifest.txt"), {
+        "command": command,
+        "argv": shlex.join(argv),
+        "artifact_version": __version__,
+        "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        **extra,
+    })
 
 
 def _int_list(text: str) -> list[int]:
@@ -196,7 +195,7 @@ def _check_resume(out, init, fresh, params: dict, mask) -> None:
     settings than the ones it and the run's manifest record; ``fresh`` is
     the state that the flags would start a new chain from. Only --iters may
     change."""
-    man = _read_manifest(out)
+    man = read_manifest(out)
     stored_mask = load_mask(os.path.join(out, man["mask"])) if man.get("mask") else None
     stored = _settings(init, man.get("data"), stored_mask, man.get("burnin"),
                        man.get("thin"))
@@ -303,7 +302,7 @@ def _run_key(run_dir) -> str:
 def _eval_run(run_dir) -> dict:
     if not os.path.exists(os.path.join(run_dir, "manifest.txt")):
         raise ValueError(f"{run_dir}: no manifest; not a fit output directory")
-    man = _read_manifest(run_dir)
+    man = read_manifest(run_dir)
     if not man.get("mask"):
         raise ValueError(f"{run_dir}: run was fit without a mask; nothing held out")
     tensor = load_coo(man["data"])
@@ -314,16 +313,13 @@ def _eval_run(run_dir) -> dict:
     except ValueError as exc:
         raise ValueError(f"{run_dir}: missing samples ({exc})") from None
 
+    # the seconds of every whole row; a killed run may leave its last row cut
     wall = 0.0
-    log_path = os.path.join(run_dir, "chain_log.tsv")
+    log_path = os.path.join(run_dir, CHAIN_LOG_NAME)
     if os.path.exists(log_path):
         with open(log_path) as f:
-            for line in f:
-                if line.startswith("#") or line.startswith("iteration"):
-                    continue
-                parts = line.split("\t")
-                if len(parts) >= 2:
-                    wall += float(parts[-1])
+            wall = sum(float(line.rsplit("\t", 1)[1]) for line in f
+                       if line[0].isdigit() and line.endswith("\n"))
     # a held-out set with no positive cell has no ppd_positive; the rest of
     # the row is still well defined
     positive = ppd_positive(samples, heldout) if heldout.counts.any() else math.nan
@@ -347,7 +343,7 @@ def cmd_eval(args, argv) -> int:
 
     def q_of(run_dir):
         try:
-            return int(_read_manifest(run_dir).get("Q", "0"))
+            return int(read_manifest(run_dir).get("Q", "0"))
         except (OSError, ValueError):
             return 0
 
@@ -379,19 +375,20 @@ def cmd_eval(args, argv) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args, argv) -> int:
-    if args.shape or args.true_dims or args.true_Q:
-        config = SyntheticConfig(
-            shape=tuple(_int_list(args.shape)) if args.shape else (40, 40, 5),
-            true_dims=tuple(_int_list(args.true_dims)) if args.true_dims else (4, 4, 2),
-            true_budget=args.true_Q or 6,
-            column_scale=args.scale,
-            column_concentration=args.concentration,
-            lambda_shape=args.lambda_shape,
-            lambda_rate=args.lambda_rate,
-            seed=args.seed,
-        )
-    else:
-        config = default_config(seed=args.seed)
+    # any generator flag given makes a config of the given flags and
+    # SyntheticConfig's defaults; with none, the default design
+    flags = {
+        "shape": tuple(_int_list(args.shape)) if args.shape else None,
+        "true_dims": tuple(_int_list(args.true_dims)) if args.true_dims else None,
+        "true_budget": args.true_Q,
+        "column_scale": args.scale,
+        "column_concentration": args.concentration,
+        "lambda_shape": args.lambda_shape,
+        "lambda_rate": args.lambda_rate,
+    }
+    given = {k: v for k, v in flags.items() if v is not None}
+    config = (SyntheticConfig(**given, seed=args.seed) if given
+              else default_config(seed=args.seed))
     tensor, truth = generate(config)
     os.makedirs(args.out, exist_ok=True)
     write_coo(tensor, os.path.join(args.out, "tensor.coo"))
@@ -548,10 +545,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shape", default=None)
     p.add_argument("--true-dims", default=None)
     p.add_argument("--true-Q", type=int, default=None)
-    p.add_argument("--scale", type=float, default=5.0)
-    p.add_argument("--concentration", type=float, default=0.01)
-    p.add_argument("--lambda-shape", type=float, default=2.0)
-    p.add_argument("--lambda-rate", type=float, default=1.0)
+    p.add_argument("--scale", type=float, default=None)
+    p.add_argument("--concentration", type=float, default=None)
+    p.add_argument("--lambda-shape", type=float, default=None)
+    p.add_argument("--lambda-rate", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_synth)
 

@@ -411,10 +411,6 @@ class ChainConfig:
         if self.total < 1 or self.thin < 1 or self.total % self.thin != 0:
             raise ValueError("thin must divide total")
 
-    @property
-    def n_samples(self) -> int:
-        return self.total // self.thin
-
 
 @dataclass
 class PosteriorSamples:
@@ -468,13 +464,14 @@ def run_chain(train: SparseCountTensor, mask: FiberMask | None,
         with open(marker, "w") as f:
             f.write("chain in progress\n")
         log_path = os.path.join(out_dir, CHAIN_LOG_NAME)
-        # A resumed chain keeps the rows before its checkpoint; rows a
-        # killed run logged past it are about to be logged again.
+        # A resumed chain keeps the whole rows before its checkpoint; rows a
+        # killed run logged past it are about to be logged again, and a
+        # last row cut partway (the write buffer can flush mid-row) is gone.
         kept = []
         if os.path.exists(log_path) and first_iter > 1:
             with open(log_path) as f:
-                kept = [line for line in f if not line[0].isdigit()
-                        or int(line.split("\t", 1)[0]) < first_iter]
+                kept = [line for line in f if line.endswith("\n") and (
+                    not line[0].isdigit() or int(line.split("\t", 1)[0]) < first_iter)]
         log_file = open(log_path, "w")
         log_file.writelines(kept or [f"# sweep={','.join(SWEEP_ORDER)} seed={seed}\n",
                                      _chain_log_header(state.M) + "\n"])

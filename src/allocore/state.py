@@ -15,9 +15,11 @@ import hashlib
 import math
 import os
 import shutil
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
+
+from .tensors import read_manifest, write_manifest
 
 __all__ = [
     "Hyperparameters",
@@ -354,11 +356,12 @@ def effective_dims(state: ModelState) -> tuple[int, tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# State directory format: manifest.txt (key=value) plus one factor matrix per
-# mode, the allocated core entries, and the location-prior simplexes. Data
-# files are covered by a SHA-256 checksum recorded in the manifest. A save
-# writes a temp directory beside each target and swaps it in; a save to
-# several targets renders the text once and copies the files.
+# State directory format: manifest.txt (key=value, through the shared
+# ``tensors.write_manifest`` and ``tensors.read_manifest``) plus one factor
+# matrix per mode, the allocated core entries, and the location-prior
+# simplexes. Data files are covered by a SHA-256 checksum recorded in the
+# manifest. A save writes a temp directory beside each target and swaps it
+# in; a save to several targets renders the text once and copies the files.
 # ---------------------------------------------------------------------------
 
 def _data_files(m: int) -> list[str]:
@@ -432,43 +435,23 @@ def _write_state(state: ModelState, dirpath) -> None:
         for p in state.mode_priors:
             f.write(" ".join(f"{v:.17g}" for v in p) + "\n")
 
-    digest = _checksum(dirpath, _data_files(state.M))
-    h = state.hyper
-    lines = [
-        f"version={STATE_FORMAT_VERSION}",
-        f"mode={state.core_mode}",
-        f"M={state.M}",
-        "shape=" + " ".join(str(d) for d in state.shape),
-        "K=" + " ".join(str(k) for k in state.K),
-        f"Q={state.Q}",
-        f"a0={h.a0!r}", f"b0={h.b0!r}", f"e0={h.e0!r}", f"f0={h.f0!r}",
-        f"alpha0={h.alpha0!r}",
-        f"seed={state.seed}",
-        f"next_iteration={state.next_iteration}",
-        f"checksum={digest}",
-    ]
-    with open(os.path.join(dirpath, "manifest.txt"), "w") as f:
-        f.write("\n".join(lines) + "\n")
-
-
-def _read_manifest(dirpath) -> dict[str, str]:
-    path = os.path.join(dirpath, "manifest.txt")
-    out = {}
-    with open(path) as f:
-        for raw in f:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}: malformed manifest line {line!r}")
-            key, val = line.split("=", 1)
-            out[key] = val
-    return out
+    write_manifest(os.path.join(dirpath, "manifest.txt"), {
+        "version": STATE_FORMAT_VERSION,
+        "mode": state.core_mode,
+        "M": state.M,
+        "shape": " ".join(str(d) for d in state.shape),
+        "K": " ".join(str(k) for k in state.K),
+        "Q": state.Q,
+        **{k: repr(v) for k, v in asdict(state.hyper).items()},
+        "seed": state.seed,
+        "next_iteration": state.next_iteration,
+        "checksum": _checksum(dirpath, _data_files(state.M)),
+    })
 
 
 def load_state(dirpath) -> ModelState:
     recover_state(dirpath)
-    man = _read_manifest(dirpath)
+    man = read_manifest(dirpath)
     try:
         version = int(man["version"])
         M = int(man["M"])

@@ -14,7 +14,7 @@ import numpy as np
 
 from .gibbs import PosteriorSamples
 from .state import TINY, Hyperparameters, ModelState, effective_dims
-from .tensors import SparseCountTensor
+from .tensors import SparseCountTensor, write_manifest
 
 __all__ = [
     "SyntheticConfig",
@@ -191,17 +191,14 @@ def write_histograms(samples: PosteriorSamples, path) -> None:
 
 
 def write_config(config: SyntheticConfig, path) -> None:
-    lines = [
-        "shape=" + " ".join(str(d) for d in config.shape),
-        "true_dims=" + " ".join(str(k) for k in config.true_dims),
-        f"true_budget={config.true_budget}",
-        f"column_scale={config.column_scale!r}",
-        f"column_concentration={config.column_concentration!r}",
-        f"lambda_shape={config.lambda_shape!r}",
-        f"lambda_rate={config.lambda_rate!r}",
-        f"seed={config.seed}",
-        "fixed_modes=" + " ".join(str(m + 1) for m in sorted(config.fixed_columns))
-        if config.fixed_columns else "fixed_modes=",
-    ]
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    write_manifest(path, {
+        "shape": " ".join(str(d) for d in config.shape),
+        "true_dims": " ".join(str(k) for k in config.true_dims),
+        "true_budget": config.true_budget,
+        "column_scale": repr(config.column_scale),
+        "column_concentration": repr(config.column_concentration),
+        "lambda_shape": repr(config.lambda_shape),
+        "lambda_rate": repr(config.lambda_rate),
+        "seed": config.seed,
+        "fixed_modes": " ".join(str(m + 1) for m in sorted(config.fixed_columns or {})),
+    })

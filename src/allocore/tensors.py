@@ -8,6 +8,7 @@ happens only at the I/O boundary.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -28,6 +29,8 @@ __all__ = [
     "write_mask",
     "load_vocab",
     "write_vocab",
+    "read_manifest",
+    "write_manifest",
 ]
 
 
@@ -93,19 +96,43 @@ class SparseCountTensor:
     def from_entries(cls, shape, entries) -> "SparseCountTensor":
         """Build from (multi-index, count) pairs, summing duplicates and
         dropping zero totals."""
-        items = entries.items() if isinstance(entries, dict) else entries
-        agg: dict[tuple[int, ...], int] = {}
-        for idx, c in items:
-            c = int(c)
-            if c < 0:
-                raise ValueError(f"negative count {c} at {tuple(idx)}")
-            key = tuple(int(i) for i in idx)
-            agg[key] = agg.get(key, 0) + c
-        kept = [(k, v) for k, v in agg.items() if v > 0]
-        M = len(shape)
-        coords = np.array([k for k, _ in kept], dtype=np.int64).reshape(len(kept), M)
-        counts = np.array([v for _, v in kept], dtype=np.int64)
-        return cls(tuple(shape), coords, counts)
+        pairs = list(entries.items() if isinstance(entries, dict) else entries)
+        return _sum_repeats(shape, [idx for idx, _ in pairs],
+                            np.array([int(c) for _, c in pairs], dtype=object))
+
+
+_COUNT_MAX = np.iinfo(np.int64).max
+
+
+def _sum_repeats(shape, coords, counts, path=None, lines=None) -> SparseCountTensor:
+    """The tensor of the entries (coords[i], counts[i]), 0-based, with a
+    repeated cell's counts summed and zero totals dropped. ``counts`` holds
+    int64 values or Python ints of any size. The first entry, in input
+    order, that is negative or takes its cell's total past ``_COUNT_MAX``
+    raises ValueError naming its line of ``path`` (given ``lines``) or its
+    cell."""
+    counts = np.asarray(counts)
+    coords = np.asarray(coords, dtype=np.int64).reshape(len(counts), len(shape))
+    order = np.lexsort(coords.T[::-1])
+    coords, counts = coords[order], counts[order]
+    # the first entry of each cell; [:n] leaves none when there are no entries
+    starts = np.flatnonzero(np.concatenate(
+        ([True], (coords[1:] != coords[:-1]).any(axis=1)))[:len(counts)])
+    if counts.size and (counts.min() < 0 or counts.max() > _COUNT_MAX // counts.size):
+        # each entry's running total within its cell, added exactly
+        cum = np.cumsum(counts.astype(object))
+        running = cum - np.repeat((cum - counts)[starts], np.diff(starts, append=len(counts)))
+        bad = np.flatnonzero((counts < 0) | (running > _COUNT_MAX))
+        if bad.size:
+            j = bad[np.argmin(order[bad])]  # the first in input order
+            at = (f"{path}:{lines[order[j]]}" if lines is not None
+                  else f"cell {tuple(coords[j].tolist())}")
+            raise ValueError(f"{at}: negative count {counts[j]}" if counts[j] < 0
+                             else f"{at}: count total of the cell exceeds {_COUNT_MAX}")
+    totals = np.add.reduceat(counts.astype(np.int64, copy=False), starts)
+    if not totals.all():  # a cell whose counts are all 0 is not stored
+        starts, totals = starts[totals > 0], totals[totals > 0]
+    return SparseCountTensor(shape, coords[starts], totals)
 
 
 @dataclass(frozen=True)
@@ -259,8 +286,11 @@ def split(tensor: SparseCountTensor, mask: FiberMask) -> tuple[SparseCountTensor
 
 # ---------------------------------------------------------------------------
 # Text formats. COO: header "M D_1 ... D_M", then "d_1 ... d_M count" per
-# non-zero, 1-based, '#' comments allowed. Mask: header "free_mode=m", then
-# one stem per line. Vocabulary: one label per line.
+# non-zero, 1-based. Mask: header "free_mode=m", then one stem per line.
+# Manifest: one key=value per line, written by ``write_manifest`` (state
+# directories, run directories, synth's config.txt) and read by
+# ``read_manifest``. These three skip blank lines and '#' comments through
+# ``_content_lines``. Vocabulary: one label per line.
 # ---------------------------------------------------------------------------
 
 def write_coo(tensor: SparseCountTensor, path) -> None:
@@ -270,7 +300,7 @@ def write_coo(tensor: SparseCountTensor, path) -> None:
             f.write(" ".join(str(int(v) + 1) for v in row) + f" {int(c)}\n")
 
 
-def _coo_lines(f):
+def _content_lines(f):
     """(1-based line number, stripped text) of each line that is neither
     blank nor a '#' comment."""
     for ln, raw in enumerate(f, 1):
@@ -296,12 +326,12 @@ def _coo_header(path, lines) -> tuple[int, ...]:
 
 def _load_coo_lines(path) -> SparseCountTensor:
     """``load_coo`` one line at a time, naming the first bad line."""
-    entries = []
+    lines, coords, counts = [], [], []
     with open(path) as f:
-        lines = _coo_lines(f)
-        shape = _coo_header(path, lines)
+        rows = _content_lines(f)
+        shape = _coo_header(path, rows)
         M = len(shape)
-        for ln, line in lines:
+        for ln, line in rows:
             tok = line.split()
             if len(tok) != M + 1:
                 raise ValueError(f"{path}:{ln}: expected {M + 1} fields, got {len(tok)}")
@@ -309,41 +339,36 @@ def _load_coo_lines(path) -> SparseCountTensor:
                 vals = [int(t) for t in tok]
             except ValueError:
                 raise ValueError(f"{path}:{ln}: non-integer field") from None
-            coords, count = vals[:M], vals[M]
-            if any(not 1 <= c <= shape[m] for m, c in enumerate(coords)):
+            if any(not 1 <= c <= shape[m] for m, c in enumerate(vals[:M])):
                 raise ValueError(f"{path}:{ln}: coordinate out of range")
-            if count <= 0:
+            if vals[M] <= 0:
                 raise ValueError(f"{path}:{ln}: count must be positive")
-            entries.append((tuple(c - 1 for c in coords), count))
-    return SparseCountTensor.from_entries(shape, entries)
+            lines.append(ln)
+            coords.append([c - 1 for c in vals[:M]])
+            counts.append(vals[M])
+    return _sum_repeats(shape, coords, np.array(counts, dtype=object), path, lines)
 
 
 def load_coo(path) -> SparseCountTensor:
     """Read a COO file, summing duplicate coordinates. The body is parsed
     and checked in bulk; a body that fails to parse (a '#' comment after
-    the header among them) or to check is read again line by line, which
-    names the first bad line."""
+    the header among them), to check or to sum within int64 is read again
+    line by line, which names the first bad line."""
     with open(path) as f:
-        shape = _coo_header(path, _coo_lines(f))
+        shape = _coo_header(path, _content_lines(f))
+        M = len(shape)
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # an empty body only warns
                 body = np.loadtxt(f, dtype=np.int64, comments=None, ndmin=2)
-        except (ValueError, Warning):
-            return _load_coo_lines(path)
-    M = len(shape)
-    if body.shape[1] != M + 1:
-        return _load_coo_lines(path)
-    coords, counts = body[:, :M] - 1, body[:, M]
-    if (coords.min() < 0 or (coords >= shape).any() or counts.min() <= 0
-            # sums of duplicates must not wrap
-            or counts.max() > np.iinfo(np.int64).max // len(counts)):
-        return _load_coo_lines(path)
-    order = np.lexsort(coords.T[::-1])
-    coords, counts = coords[order], counts[order]
-    starts = np.flatnonzero(np.concatenate(
-        ([True], (coords[1:] != coords[:-1]).any(axis=1))))
-    return SparseCountTensor(shape, coords[starts], np.add.reduceat(counts, starts))
+            coords, counts = body[:, :M], body[:, -1]
+            coords -= 1  # in place: a copy would live through the sum
+            if (body.shape[1] == M + 1 and coords.min() >= 0 and (coords < shape).all()
+                    and counts.min() > 0):
+                return _sum_repeats(shape, coords, counts)
+        except (ValueError, Warning):  # a total past int64 among them
+            pass
+    return _load_coo_lines(path)
 
 
 def write_mask(mask: FiberMask, path) -> None:
@@ -354,24 +379,22 @@ def write_mask(mask: FiberMask, path) -> None:
 
 
 def load_mask(path) -> FiberMask:
-    free_mode = None
-    stems = []
-    width = None
     with open(path) as f:
-        for ln, raw in enumerate(f, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if free_mode is None:
-                if not line.startswith("free_mode="):
-                    raise ValueError(f"{path}:{ln}: expected 'free_mode=' header")
-                try:
-                    free_mode = int(line.split("=", 1)[1]) - 1
-                except ValueError:
-                    free_mode = -1
-                if free_mode < 0:
-                    raise ValueError(f"{path}:{ln}: free_mode must be a 1-based mode")
-                continue
+        lines = _content_lines(f)
+        ln, header = next(lines, (0, None))
+        if header is None:
+            raise ValueError(f"{path}: missing 'free_mode=' header")
+        if not header.startswith("free_mode="):
+            raise ValueError(f"{path}:{ln}: expected 'free_mode=' header")
+        try:
+            free_mode = int(header.split("=", 1)[1]) - 1
+        except ValueError:
+            free_mode = -1
+        if free_mode < 0:
+            raise ValueError(f"{path}:{ln}: free_mode must be a 1-based mode")
+        stems = []
+        width = None
+        for ln, line in lines:
             try:
                 row = [int(t) - 1 for t in line.split()]
             except ValueError:
@@ -381,10 +404,28 @@ def load_mask(path) -> FiberMask:
             elif len(row) != width:
                 raise ValueError(f"{path}:{ln}: inconsistent stem width")
             stems.append(row)
-    if free_mode is None:
-        raise ValueError(f"{path}: missing 'free_mode=' header")
     arr = np.array(stems, dtype=np.int64).reshape(len(stems), width or 0)
     return FiberMask(free_mode=free_mode, stems=arr)
+
+
+def write_manifest(path, items) -> None:
+    """Write the dict ``items`` as key=value lines, in order; a newline in
+    an item is written as backslash-n, so each item stays one line."""
+    with open(path, "w") as f:
+        f.writelines(f"{k}={v}".replace("\n", "\\n") + "\n" for k, v in items.items())
+
+
+def read_manifest(dirpath) -> dict[str, str]:
+    """The key=value items of ``dirpath``'s manifest.txt, values as text."""
+    path = os.path.join(dirpath, "manifest.txt")
+    out = {}
+    with open(path) as f:
+        for _, line in _content_lines(f):
+            key, eq, val = line.partition("=")
+            if not eq:
+                raise ValueError(f"{path}: malformed manifest line {line!r}")
+            out[key] = val
+    return out
 
 
 def write_vocab(labels, path) -> None:
@@ -477,38 +518,26 @@ def load_events(path, schema: EventSchema,
         raise ValueError("time_binning given but schema.time_mode is unset")
     time_mode = schema.time_mode if time_binning is not None else None
 
-    fixed = schema.vocabularies or {}
-    lookups: list[dict[str, int] | None] = []
-    vocabs: list[list[str]] = []
-    for m in range(M):
-        if m == time_mode:
-            lookups.append(None)
-            vocabs.append([])
-        elif m in fixed:
-            vocabs.append(list(fixed[m]))
-            lookups.append({lab: i for i, lab in enumerate(fixed[m])})
-        else:
-            vocabs.append([])
-            lookups.append({})
+    # One label table per mode, a fixed vocabulary's pre-filled. A binned
+    # time mode collects its dates as labels and maps them to bins below.
+    fixed = {m for m in (schema.vocabularies or {}) if m != time_mode}
+    vocabs = [list(schema.vocabularies[m]) if m in fixed else [] for m in range(M)]
+    tables = [{lab: i for i, lab in enumerate(v)} for v in vocabs]
 
-    records: list[tuple[int, list, int]] = []
+    lines, coords, counts = [], [], []
     with open(path) as f:
         header = f.readline()
         if not header:
             raise ValueError(f"{path}: empty file, expected a header row")
         names = [c.strip() for c in header.rstrip("\n").split(schema.delimiter)]
-        col_of = {}
-        for col in schema.mode_columns:
+        # the mode columns' indices, then the count column's if there is one
+        cols = list(schema.mode_columns)
+        if schema.count_column is not None:
+            cols.append(schema.count_column)
+        for col in cols:
             if col not in names:
                 raise ValueError(f"{path}: schema column {col!r} not in header")
-            col_of[col] = names.index(col)
-        if schema.count_column is not None:
-            if schema.count_column not in names:
-                raise ValueError(
-                    f"{path}: schema column {schema.count_column!r} not in header")
-            count_idx = names.index(schema.count_column)
-        else:
-            count_idx = None
+        cols = [names.index(col) for col in cols]
 
         for ln, raw in enumerate(f, 2):
             line = raw.rstrip("\n")
@@ -518,53 +547,48 @@ def load_events(path, schema: EventSchema,
             if len(tok) < len(names):
                 raise ValueError(
                     f"{path}:{ln}: expected {len(names)} fields, got {len(tok)}")
-            key: list = []
-            for m, col in enumerate(schema.mode_columns):
-                val = tok[col_of[col]].strip()
-                if m == time_mode:
-                    key.append(_parse_ym(val, path, ln))
-                else:
-                    lut = lookups[m]
+            key = []
+            for m, col in enumerate(cols[:M]):
+                val = tok[col].strip()
+                i = tables[m].get(val)
+                if i is None:
                     if m in fixed:
-                        if val not in lut:
-                            raise ValueError(
-                                f"{path}:{ln}: label {val!r} not in mode-{m + 1} vocabulary")
-                        key.append(lut[val])
-                    else:
-                        if val not in lut:
-                            lut[val] = len(vocabs[m])
-                            vocabs[m].append(val)
-                        key.append(lut[val])
-            if count_idx is None:
-                count = 1
-            else:
+                        raise ValueError(
+                            f"{path}:{ln}: label {val!r} not in mode-{m + 1} vocabulary")
+                    if m == time_mode:
+                        _parse_ym(val, path, ln)  # a bad date names its line
+                    i = tables[m][val] = len(vocabs[m])
+                    vocabs[m].append(val)
+                key.append(i)
+            count = 1
+            if len(cols) > M:
                 try:
-                    count = int(tok[count_idx].strip())
+                    count = int(tok[cols[M]].strip())
                 except ValueError:
                     raise ValueError(f"{path}:{ln}: non-integer count") from None
                 if count < 0:
                     raise ValueError(f"{path}:{ln}: negative count")
-            records.append((ln, key, count))
+            lines.append(ln)
+            coords.append(key)
+            counts.append(count)
+    coords = np.array(coords, dtype=np.int64).reshape(len(lines), M)
 
     if time_mode is not None:
         tb = time_binning
-        observed = [rec[1][time_mode] for rec in records]
-        anchor = _parse_ym(tb.start, path, 0) if tb.start else (
-            min(observed) if observed else (1970, 1))
+        dates = [_parse_ym(val, path, 0) for val in vocabs[time_mode]]
+        anchor = _parse_ym(tb.start, path, 0) if tb.start else min(dates, default=(1970, 1))
+        bins = np.array([_ym_index(ym, anchor, tb.unit) for ym in dates], dtype=np.int64)
         if tb.end:
             last = _ym_index(_parse_ym(tb.end, path, 0), anchor, tb.unit)
-        elif observed:
-            last = max(_ym_index(ym, anchor, tb.unit) for ym in observed)
         else:
-            last = 0
+            last = int(bins.max()) if bins.size else 0
         if last < 0:
             raise ValueError("time binning end precedes start")
-        for ln, key, _ in records:
-            idx = _ym_index(key[time_mode], anchor, tb.unit)
-            if not 0 <= idx <= last:
-                raise ValueError(
-                    f"{path}:{ln}: date outside the declared time range")
-            key[time_mode] = idx
+        coords[:, time_mode] = bins[coords[:, time_mode]]
+        outside = (coords[:, time_mode] < 0) | (coords[:, time_mode] > last)
+        if outside.any():
+            raise ValueError(f"{path}:{lines[int(np.argmax(outside))]}: "
+                             "date outside the declared time range")
         vocabs[time_mode] = [_bin_label(anchor, i, tb.unit) for i in range(last + 1)]
 
     shape = tuple(len(v) for v in vocabs)
@@ -574,6 +598,5 @@ def load_events(path, schema: EventSchema,
         for m, v in enumerate(vocabs):
             if not v:
                 vocabs[m] = ["(none)"]
-    entries = [(tuple(key), count) for _, key, count in records if count > 0]
-    tensor = SparseCountTensor.from_entries(shape, entries)
+    tensor = _sum_repeats(shape, coords, np.array(counts, dtype=object), path, lines)
     return tensor, vocabs

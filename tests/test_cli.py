@@ -47,6 +47,17 @@ class TestIngest:
         assert rc == 0
         assert "density: 0.0150" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("body", ["1 1 9223372036854775807\n1 1 1\n",
+                                      "1 1 99999999999999999999\n"])
+    def test_count_past_int64_refused(self, tmp_path, capsys, body):
+        coo = tmp_path / "t.coo"
+        coo.write_text("2 3 3\n" + body)
+        rc = run_cli("ingest", "--data", coo, "--format", "coo",
+                     "--out", tmp_path / "out")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "exceeds 9223372036854775807" in err
+
     def test_missing_column_named(self, tmp_path, capsys):
         events = tmp_path / "events.tsv"
         events.write_text("i\tj\n" + "a\tb\n")
@@ -309,6 +320,19 @@ class TestEval:
         assert run_cli("eval", "--runs", fitted_run, "--out", table) == 0
         assert table.read_text() == whole
 
+    def test_wall_seconds_sum_whole_log_rows(self, fitted_run, tmp_path):
+        log = fitted_run / "chain_log.tsv"
+        rows = log.read_text().splitlines()[2:]
+        assert len(rows) == 12
+        wall = sum(float(row.split("\t")[-1]) for row in rows)
+        with open(log, "a") as f:  # a row cut partway by a kill
+            f.write("13\t-1.0\t4\t4\t4\t2\t9")
+        table = tmp_path / "results.tsv"
+        assert run_cli("eval", "--runs", fitted_run, "--out", table) == 0
+        header, line = table.read_text().splitlines()
+        row = dict(zip(header.split("\t"), line.split("\t")))
+        assert row["wall_seconds"] == f"{wall:.3f}"
+
     def test_run_named_twice_appends_one_row(self, fitted_run, tmp_path, capsys):
         table = tmp_path / "results.tsv"
         rc = run_cli("eval", "--runs", fitted_run, fitted_run, "--out", table)
@@ -387,6 +411,27 @@ class TestSynthCommand:
             assert key in config
         assert (out / "tensor.coo").exists()
         assert (out / "truth" / "manifest.txt").exists()
+
+    def test_generator_flags_honoured(self, tmp_path):
+        # any generator flag builds a config of the given flags and the
+        # defaults; with none given, synth writes the default design
+        out = tmp_path / "flags"
+        assert run_cli("synth", "--out", out, "--seed", "0", "--scale", "50",
+                       "--lambda-shape", "9") == 0
+        config = (out / "config.txt").read_text().splitlines()
+        assert "column_scale=50.0" in config and "lambda_shape=9.0" in config
+        assert "fixed_modes=" in config
+        want, _ = generate(SyntheticConfig(column_scale=50.0, lambda_shape=9.0, seed=0))
+        got = load_coo(out / "tensor.coo")
+        assert np.array_equal(got.coords, want.coords)
+        assert np.array_equal(got.counts, want.counts)
+
+        plain = tmp_path / "plain"
+        assert run_cli("synth", "--out", plain, "--seed", "0") == 0
+        assert "fixed_modes=3" in (plain / "config.txt").read_text().splitlines()
+        default, _ = generate(default_config(seed=0))
+        assert np.array_equal(load_coo(plain / "tensor.coo").counts, default.counts)
+        assert (plain / "tensor.coo").read_bytes() != (out / "tensor.coo").read_bytes()
 
     def test_custom_shape(self, tmp_path):
         out = tmp_path / "synth"

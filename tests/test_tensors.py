@@ -22,6 +22,8 @@ from allocore.tensors import (
     write_vocab,
 )
 
+INT64_MAX = np.iinfo(np.int64).max
+
 
 def cell_counts(tensor):
     """{cell: count} over the stored non-zeros."""
@@ -160,6 +162,39 @@ class TestCooFormat:
         t = load_coo(path)
         assert cell_counts(t) == {(0, 0): 7, (1, 1): 1, (2, 3): 2}
 
+    # counts are int64: a count or a cell's total past its maximum is
+    # refused, naming the line at which the total passes it
+    @pytest.mark.parametrize("text, line", [
+        # parses in bulk; the bulk sum refuses it, the line path names it
+        (f"2 3 3\n1 1 {INT64_MAX}\n1 1 1\n", 3),
+        (f"2 3 3\n1 1 {INT64_MAX // 2 + 1}\n2 2 5\n1 1 {INT64_MAX // 2 + 1}\n", 4),
+        # read line by line from the start
+        ("2 3 3\n1 1 99999999999999999999\n", 2),
+        (f"2 3 3\n# c\n2 2 1\n1 1 {INT64_MAX}\n1 1 1\n", 5),
+    ])
+    def test_count_total_past_int64_refused(self, tmp_path, text, line):
+        path = tmp_path / "t.coo"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_coo(path)
+        assert str(info.value) == (f"{path}:{line}: count total of the cell "
+                                   f"exceeds {INT64_MAX}")
+
+    def test_count_total_at_int64_max_kept(self, tmp_path):
+        path = tmp_path / "t.coo"
+        path.write_text(f"2 3 3\n1 1 {INT64_MAX - 1}\n2 2 4\n1 1 1\n")
+        assert cell_counts(load_coo(path)) == {(0, 0): INT64_MAX, (1, 1): 4}
+        t = SparseCountTensor.from_entries((2, 2), [((0, 0), INT64_MAX), ((0, 0), 0)])
+        assert cell_counts(t) == {(0, 0): INT64_MAX}
+
+    def test_from_entries_refuses_totals_past_int64(self):
+        with pytest.raises(ValueError, match=r"cell \(1, 0\): count total"):
+            SparseCountTensor.from_entries((2, 2), {(1, 0): 2 ** 64})
+        with pytest.raises(ValueError, match=r"cell \(0, 1\): count total"):
+            SparseCountTensor.from_entries((2, 2), [((0, 1), INT64_MAX), ((0, 1), 1)])
+        with pytest.raises(ValueError, match=r"cell \(0, 1\): negative count -1"):
+            SparseCountTensor.from_entries((2, 2), [((0, 1), 3), ((0, 1), -1)])
+
     @pytest.mark.parametrize("M", [2, 3, 4])
     def test_round_trip_many_entries(self, tmp_path, M):
         rng = np.random.default_rng(M)
@@ -221,6 +256,26 @@ class TestEvents:
         path = self._write(tmp_path, ["a\tb\tx\t5"], header="i\tj\tt\tn")
         tensor, _ = load_events(path, EventSchema(("i", "j", "t"), count_column="n"))
         assert tensor.total() == 5
+
+    @pytest.mark.parametrize("rows, line", [
+        ([f"a\tb\tx\t{INT64_MAX}", "c\tb\tx\t5", "a\tb\tx\t1"], 4),
+        (["a\tb\tx\t1", "a\tb\tx\t99999999999999999999"], 3),
+    ])
+    def test_count_total_past_int64_refused(self, tmp_path, rows, line):
+        path = self._write(tmp_path, rows, header="i\tj\tt\tn")
+        with pytest.raises(ValueError) as info:
+            load_events(path, EventSchema(("i", "j", "t"), count_column="n"))
+        assert str(info.value) == (f"{path}:{line}: count total of the cell "
+                                   f"exceeds {INT64_MAX}")
+
+    def test_dates_of_one_bin_aggregate_and_zero_counts_drop(self, tmp_path):
+        path = self._write(tmp_path, ["a\t2001-03-02\t2", "b\t2001-01\t0",
+                                      "a\t2001-03-30\t1", "a\t2001\t4"],
+                           header="i\td\tn")
+        schema = EventSchema(("i", "d"), count_column="n", time_mode=1)
+        tensor, vocabs = load_events(path, schema, TimeBinning(unit="month"))
+        assert vocabs == [["a", "b"], ["2001-01", "2001-02", "2001-03"]]
+        assert cell_counts(tensor) == {(0, 2): 3, (0, 0): 4}
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = self._write(tmp_path, ["a\tb\tx", "only-one-field"])
