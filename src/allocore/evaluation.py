@@ -6,13 +6,14 @@ takes the geometric mean over cells.
 
 The log masses are streamed over the blocks of ``state.row_blocks``, about
 1 MiB of one sample's rates each, so no (n_cells, Q) or (S, n_cells) table
-is ever held. A heldout set written by ``split`` carries its fiber layout:
-all cells of a fiber share their stem, so a block of stems is scored from
-each sample's class tables as a (stems, D_free, Q) product, the stem rows
-times the whole free-mode table. A set without a layout (such as
-``HeldoutSet.positive()``) is scored cell by cell through
-``reconstruct_cells``. Both give the same bits as scoring every cell on its
-own with one log-sum-exp over all cells.
+is ever held. A heldout set written by ``split`` is its fiber layout and
+one count per cell, with no coordinate table: all cells of a fiber share
+their stem, so a block of stems is scored from each sample's class tables
+as a (stems, D_free, Q) product, the stem rows times the whole free-mode
+table. A set without a layout (such as ``HeldoutSet.positive()``) is scored
+cell by cell through ``reconstruct_cells``. Both give the same bits as
+scoring every cell on its own with one log-sum-exp over all cells. The
+log masses are written in place, into one array per block.
 
 The fiber path runs on two threads: the calling thread and one helper,
 opened and joined inside the call. Both draw blocks from one shared
@@ -60,11 +61,15 @@ __all__ = [
 ]
 
 
-def poisson_logpmf(counts: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """log Pois(y; rate), with the y=0, rate=0 limit equal to 0."""
-    counts = np.asarray(counts, dtype=np.float64)
-    rates = np.asarray(rates, dtype=np.float64)
-    return xlogy(counts, rates) - rates - gammaln(counts + 1.0)
+def poisson_logpmf(counts: np.ndarray, rates) -> np.ndarray:
+    """log Pois(y; rate), with the y=0, rate=0 limit equal to 0: the terms
+    xlogy(y, rate) - rate - gammaln(y + 1) in that order, written into one
+    output array, with one count-sized scratch array for the last."""
+    out = xlogy(counts, rates)
+    out -= rates
+    scratch = np.add(counts, 1.0, out=np.empty(np.shape(counts)))
+    out -= gammaln(scratch, out=scratch)
+    return out
 
 
 def _fiber_yhats(samples: PosteriorSamples, layout: FiberMask):
@@ -159,7 +164,7 @@ def ppd_constant_baseline(train: SparseCountTensor, heldout: HeldoutSet) -> floa
     if observed_cells <= 0:
         raise ValueError("mask leaves no observed cells")
     rate = train.total() / observed_cells
-    masses = poisson_logpmf(heldout.counts, np.full(heldout.n_cells, rate))
+    masses = poisson_logpmf(heldout.counts, rate)
     return float(np.exp(masses.mean()))
 
 

@@ -171,58 +171,54 @@ class FiberMask:
         return [m for m in range(self.stems.shape[1] + 1) if m != self.free_mode]
 
 
-@dataclass(frozen=True)
 class HeldoutSet:
     """Every cell of every masked fiber with its true count (zeros included).
 
-    ``layout`` is the mask the cells were written from, or None. With a
-    layout the cells are stem-major: cell i lies on stem i // D_free at
-    free-mode index i % D_free, so a scorer can treat each fiber as a whole.
-    The constructor checks that the cells are exactly that tiling.
+    A fiber set, as ``split`` writes it, is its ``layout`` (the mask) and one
+    count per cell, stem-major: cell i lies on stem i // D_free at free-mode
+    index i % D_free, D_free = n_cells // n_stems, so a scorer can treat each
+    fiber as a whole. It stores no coordinates; ``coords`` builds them on
+    each read. A cell set takes explicit ``coords`` and no layout.
     """
 
-    coords: np.ndarray
-    counts: np.ndarray
-    layout: FiberMask | None = None
-
-    def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=np.int64)
-        counts = np.asarray(self.counts, dtype=np.int64).reshape(-1)
-        if coords.shape[0] != counts.shape[0]:
-            raise ValueError("coords and counts disagree in length")
+    def __init__(self, coords, counts, layout: FiberMask | None = None):
+        counts = np.asarray(counts, dtype=np.int64).reshape(-1)
         if counts.size and counts.min() < 0:
             raise ValueError("heldout counts must be non-negative")
-        if self.layout is not None:
-            _check_layout(coords, self.layout)
-        object.__setattr__(self, "coords", _frozen(coords))
-        object.__setattr__(self, "counts", _frozen(counts))
+        if (coords is None) == (layout is None):
+            raise ValueError("a heldout set takes either coords or a layout")
+        if layout is None:
+            coords = _frozen(np.asarray(coords, dtype=np.int64))
+            if coords.shape[0] != counts.shape[0]:
+                raise ValueError("coords and counts disagree in length")
+        elif counts.size % layout.n_stems if layout.n_stems else counts.size:
+            raise ValueError(f"layout of {layout.n_stems} stems does not tile "
+                             f"{counts.size} heldout cells")
+        self._coords, self.counts, self.layout = coords, _frozen(counts), layout
 
     @property
     def n_cells(self) -> int:
         return int(self.counts.shape[0])
 
+    @property
+    def coords(self) -> np.ndarray:
+        """The (n_cells, M) cell coordinates."""
+        return self._coords if self.layout is None else self._at(np.arange(self.n_cells))
+
+    def _at(self, cells: np.ndarray) -> np.ndarray:
+        """The coordinates of the cells at the indices ``cells``."""
+        if self.layout is None:
+            return self._coords[cells]
+        stem, free = np.divmod(cells, self.n_cells // max(self.layout.n_stems, 1))
+        return np.insert(self.layout.stems[stem], self.layout.free_mode, free, axis=1)
+
     def total(self) -> int:
         return int(self.counts.sum())
 
     def positive(self) -> "HeldoutSet":
-        keep = self.counts > 0
-        return HeldoutSet(self.coords[keep], self.counts[keep])
-
-
-def _check_layout(coords: np.ndarray, layout: FiberMask) -> None:
-    M = layout.stems.shape[1] + 1
-    if coords.ndim != 2 or coords.shape[1] != M or layout.free_mode >= M:
-        raise ValueError("layout does not match the heldout cells' mode count")
-    n, n_stems = coords.shape[0], layout.n_stems
-    d_free = n // n_stems if n_stems else 0
-    if n_stems * d_free != n:
-        raise ValueError(
-            f"layout of {n_stems} stems does not tile {n} heldout cells")
-    fibers = coords.reshape(n_stems, d_free, M)
-    if not ((fibers[:, :, layout.free_mode] == np.arange(d_free)).all()
-            and all((fibers[:, :, m] == layout.stems[:, j:j + 1]).all()
-                    for j, m in enumerate(layout.stem_modes))):
-        raise ValueError("heldout cells are not the stem-major fibers of the layout")
+        """The cells with a positive count, as a cell set."""
+        keep = np.flatnonzero(self.counts)
+        return HeldoutSet(self._at(keep), self.counts[keep])
 
 
 def make_fiber_mask(tensor: SparseCountTensor, free_mode: int, fraction: float,
@@ -260,9 +256,9 @@ def _check_mask(tensor: SparseCountTensor, mask: FiberMask) -> None:
 
 
 def split(tensor: SparseCountTensor, mask: FiberMask) -> tuple[SparseCountTensor, HeldoutSet]:
-    """Partition a tensor into unmasked training entries and the full heldout
-    cell list (zeros materialized) of the masked fibers, written stem-major
-    with the mask as its layout."""
+    """Partition a tensor into unmasked training entries and the heldout
+    fiber set of the masked fibers: the mask as its layout and one count
+    per cell, zeros included, stem-major."""
     _check_mask(tensor, mask)
     reduced = tuple(tensor.shape[m] for m in mask.stem_modes)
     stem_keys = np.ravel_multi_index(tuple(mask.stems.T), reduced)  # sorted
@@ -273,15 +269,11 @@ def split(tensor: SparseCountTensor, mask: FiberMask) -> tuple[SparseCountTensor
     train = SparseCountTensor(tensor.shape, tensor.coords[~masked],
                               tensor.counts[~masked])
 
-    held_coords = np.empty((mask.n_stems * d_free, tensor.ndim), dtype=np.int64)
-    for j, m in enumerate(mask.stem_modes):
-        held_coords[:, m] = np.repeat(mask.stems[:, j], d_free)
-    held_coords[:, mask.free_mode] = np.tile(np.arange(d_free), mask.n_stems)
     held_counts = np.zeros(mask.n_stems * d_free, dtype=np.int64)
     stem_pos = np.searchsorted(stem_keys, cell_keys[masked])
     pos = stem_pos * d_free + tensor.coords[masked, mask.free_mode]
     held_counts[pos] = tensor.counts[masked]
-    return train, HeldoutSet(held_coords, held_counts, layout=mask)
+    return train, HeldoutSet(None, held_counts, layout=mask)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +440,8 @@ def load_vocab(path) -> list[str]:
 class TimeBinning:
     """Calendar binning for the temporal mode; dates are 'YYYY',
     'YYYY-MM', or 'YYYY-MM-DD'. ``start``/``end`` fix the bin range
-    (inclusive); left unset they are inferred from the data."""
+    (inclusive); left unset they are inferred from the data. Both are
+    parsed here, so a bad one is named as the field, not as data."""
 
     unit: str  # "month" or "year"
     start: str | None = None
@@ -457,6 +450,10 @@ class TimeBinning:
     def __post_init__(self):
         if self.unit not in ("month", "year"):
             raise ValueError(f"unknown time binning unit {self.unit!r}")
+        start = self.start and _parse_ym(self.start, "time binning start")
+        end = self.end and _parse_ym(self.end, "time binning end")
+        if start and end and _ym_index(end, start, self.unit) < 0:
+            raise ValueError("time binning end precedes start")
 
 
 @dataclass(frozen=True)
@@ -475,7 +472,7 @@ class EventSchema:
             raise ValueError("time_mode out of range")
 
 
-def _parse_ym(text: str, path, ln) -> tuple[int, int]:
+def _parse_ym(text: str, where) -> tuple[int, int]:
     parts = text.strip().split("-")
     try:
         if len(parts) == 1:
@@ -487,7 +484,7 @@ def _parse_ym(text: str, path, ln) -> tuple[int, int]:
             return y, mo
     except ValueError:
         pass
-    raise ValueError(f"{path}:{ln}: cannot parse date {text!r}")
+    raise ValueError(f"{where}: cannot parse date {text!r}")
 
 
 def _ym_index(ym: tuple[int, int], anchor: tuple[int, int], unit: str) -> int:
@@ -556,7 +553,7 @@ def load_events(path, schema: EventSchema,
                         raise ValueError(
                             f"{path}:{ln}: label {val!r} not in mode-{m + 1} vocabulary")
                     if m == time_mode:
-                        _parse_ym(val, path, ln)  # a bad date names its line
+                        _parse_ym(val, f"{path}:{ln}")  # a bad date names its line
                     i = tables[m][val] = len(vocabs[m])
                     vocabs[m].append(val)
                 key.append(i)
@@ -575,15 +572,13 @@ def load_events(path, schema: EventSchema,
 
     if time_mode is not None:
         tb = time_binning
-        dates = [_parse_ym(val, path, 0) for val in vocabs[time_mode]]
-        anchor = _parse_ym(tb.start, path, 0) if tb.start else min(dates, default=(1970, 1))
+        dates = [_parse_ym(val, path) for val in vocabs[time_mode]]
+        anchor = _parse_ym(tb.start, path) if tb.start else min(dates, default=(1970, 1))
         bins = np.array([_ym_index(ym, anchor, tb.unit) for ym in dates], dtype=np.int64)
         if tb.end:
-            last = _ym_index(_parse_ym(tb.end, path, 0), anchor, tb.unit)
+            last = _ym_index(_parse_ym(tb.end, path), anchor, tb.unit)
         else:
             last = int(bins.max()) if bins.size else 0
-        if last < 0:
-            raise ValueError("time binning end precedes start")
         coords[:, time_mode] = bins[coords[:, time_mode]]
         outside = (coords[:, time_mode] < 0) | (coords[:, time_mode] > last)
         if outside.any():

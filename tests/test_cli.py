@@ -66,6 +66,24 @@ class TestIngest:
         assert rc == 2
         assert "missing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--time-start", "2001-13"], "time binning start: cannot parse date '2001-13'"),
+        (["--time-end", "2001-00"], "time binning end: cannot parse date '2001-00'"),
+        (["--time-start", "2002-01"], "ev.tsv:2: date outside the declared time range"),
+        (["--time-start", "2002-01", "--time-end", "2001-12"],
+         "time binning end precedes start"),
+    ])
+    def test_bad_time_bounds_named(self, tmp_path, capsys, monkeypatch, flags,
+                                   message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ev.tsv").write_text("i\td\na\t2001-03\nb\t2001-05\n")
+        rc = run_cli("ingest", "--data", "ev.tsv", "--format", "events",
+                     "--mode-cols", "i,d", "--time-col", "d", "--time-bin",
+                     "month", *flags, "--out", tmp_path / "out")
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestMask:
     def test_batch_masks_distinct_and_reproducible(self, synth_coo, tmp_path,

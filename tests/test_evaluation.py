@@ -6,7 +6,7 @@ import threading
 
 import numpy as np
 import pytest
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln, logsumexp, xlogy
 
 from allocore import evaluation
 from allocore import state as state_module
@@ -109,6 +109,35 @@ class TestPpdProperties:
         assert 0 < value <= 1.0
 
 
+class TestPoissonLogpmf:
+    """The log masses written into one array against the three-term
+    expression, bit for bit."""
+
+    @staticmethod
+    def expression(counts, rates):
+        counts = np.asarray(counts, dtype=np.float64)
+        return xlogy(counts, rates) - rates - gammaln(counts + 1.0)
+
+    def test_blocks_equal_the_expression(self):
+        rng = np.random.default_rng(7)
+        counts = rng.integers(0, 30, size=500)
+        counts[::3] = 0
+        rates = rng.gamma(0.7, 4.0, size=(6, 500))
+        rates[1] = 1e-300
+        rates[2] = 1e6
+        rates[3, ::2] = 1e-300
+        got = poisson_logpmf(counts, rates)
+        assert got.shape == (6, 500)
+        assert np.array_equal(got, self.expression(counts, rates))
+
+    @pytest.mark.parametrize("rate", [0.0, 1e-300, 2.5, 1e6])
+    def test_scalar_rate_equals_a_full_table(self, rate):
+        counts = np.array([0, 0, 1, 3, 17, 250])
+        table = np.full(counts.shape, rate)
+        assert np.array_equal(poisson_logpmf(counts, rate),
+                              self.expression(counts, table))
+
+
 def reference_log_masses(samples, heldout):
     """Each cell's rates from one 2-D fancy gather of factor entries per
     mode, then one logsumexp over the full (S, n) table of log masses."""
@@ -170,6 +199,19 @@ class TestFiberPpdExact:
         assert np.array_equal(got_cells, want)
         assert ppd(samples, heldout) == ppd(samples, cells)
         assert ppd(samples, heldout) == float(np.exp(want.mean()))
+
+    @pytest.mark.parametrize("shape, free_mode", [((6, 5, 4), 1),
+                                                  ((4, 3, 5, 3), 3)])
+    def test_fiber_set_scores_equal_its_cell_set(self, shape, free_mode,
+                                                 monkeypatch):
+        samples, heldout = fiber_case(shape, free_mode, monkeypatch, 4)
+        cells = HeldoutSet(heldout.coords, heldout.counts)
+        train = SparseCountTensor.from_entries(shape, {(0,) * len(shape): 40})
+        assert heldout.counts.any() and not heldout.counts.all()
+        assert ppd(samples, heldout) == ppd(samples, cells)
+        assert ppd_positive(samples, heldout) == ppd_positive(samples, cells)
+        assert (ppd_constant_baseline(train, heldout)
+                == ppd_constant_baseline(train, cells))
 
     def test_no_block_is_one_cell(self, monkeypatch):
         monkeypatch.setattr(state_module, "_BLOCK_BYTES", 8 * 12 * 7)
@@ -289,6 +331,15 @@ class TestConstantBaseline:
         rate = 3 / 2  # 4 cells, 2 held out
         want = math.exp(0.5 * (-rate + 2 * math.log(rate) - rate - math.log(2)))
         assert ppd_constant_baseline(train, h) == pytest.approx(want, rel=1e-12)
+
+    def test_peak_is_the_masses_and_one_scratch_array(self, wide_mask,
+                                                      traced_peak):
+        # no table of the one rate and no temporaries of cell length
+        # beyond the log masses and the scratch for gammaln
+        train, heldout = split(*wide_mask)
+        assert heldout.n_cells >= 50_000
+        peak = traced_peak(ppd_constant_baseline, train, heldout)
+        assert peak <= 3 * 8 * heldout.n_cells
 
 
 class TestTrainLoglik:

@@ -5,7 +5,6 @@ import signal
 import subprocess
 import sys
 import time
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -126,18 +125,6 @@ def peak_instance():
     cells = np.stack(np.unravel_index(keys, shape), axis=1)
     train = SparseCountTensor(shape, cells, rng.integers(1, 40, len(cells)))
     return train, init_canonical(shape, Q, seed=0)
-
-
-def traced_peak(fn, *args):
-    """Peak bytes allocated during ``fn(*args)``. NumPy reports its buffers
-    to tracemalloc, so this counts allocations, not resident memory, and
-    repeats exactly."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestThinning:
@@ -261,13 +248,13 @@ class TestThinning:
                                   np.zeros(0, dtype=np.int64))
         assert_thins_like_cell_major(state, empty, seed=0)
 
-    def test_peak_allocation_is_one_table(self):
+    def test_peak_allocation_is_one_table(self, traced_peak):
         # the draws are written over the rate table's spent rows
         train, state = peak_instance()
         peak = traced_peak(thin_counts, state, train, substream(0, 1, THIN_BLOCK))
         assert peak <= 1.25 * train.nnz * state.Q * 8
 
-    def test_rate_table_calls_peak_at_one_table(self):
+    def test_rate_table_calls_peak_at_one_table(self, traced_peak):
         # the table is filled in row blocks, so no full-size gather runs
         # beside it; the totals are summed block by block, with no table
         train, state = peak_instance()
@@ -595,7 +582,7 @@ class TestMaskCorrections:
         w = corr.mode_weights(state, free_mode, colsums)
         assert np.array_equal(w, np.broadcast_to(want[:, None], w.shape))
 
-    def test_corrections_peak_at_two_stem_tables(self):
+    def test_corrections_peak_at_two_stem_tables(self, traced_peak):
         # each call gathers only the (Q, S) columns it multiplies, and the
         # stem-mode weights add one table of bincount keys
         shape, Q = (60, 60, 10), 64

@@ -300,6 +300,26 @@ class TestEvents:
         with pytest.raises(ValueError, match="time range"):
             load_events(path, schema, binning)
 
+    @pytest.mark.parametrize("bounds, message", [
+        ({"start": "2001-13"}, "time binning start: cannot parse date '2001-13'"),
+        ({"end": "2001-00"}, "time binning end: cannot parse date '2001-00'"),
+        ({"start": "2002-01", "end": "2001-12"}, "time binning end precedes start"),
+    ])
+    def test_bad_bounds_named_as_fields(self, tmp_path, bounds, message):
+        with pytest.raises(ValueError) as info:
+            TimeBinning(unit="month", **bounds)
+        assert str(info.value) == message
+
+    def test_dates_before_a_given_start_name_their_line(self, tmp_path):
+        # every row is dated before the start and no end is given: the first
+        # row is named, not an end that was never declared
+        path = self._write(tmp_path, ["a\t2001-03", "b\t2001-05"],
+                           header="i\td")
+        schema = EventSchema(("i", "d"), time_mode=1)
+        with pytest.raises(ValueError) as info:
+            load_events(path, schema, TimeBinning(unit="month", start="2002-01"))
+        assert str(info.value) == f"{path}:2: date outside the declared time range"
+
     def test_yearly_binning_inferred_range(self, tmp_path):
         path = self._write(tmp_path, ["a\tb\t1995-03", "a\tb\t2013-11"],
                            header="i\tj\td")
@@ -443,25 +463,70 @@ class TestHeldoutLayout:
         # stem-major: fiber (0, :, 0) then fiber (3, :, 1)
         assert heldout.coords.tolist() == [[0, 0, 0], [0, 1, 0], [0, 2, 0],
                                            [3, 0, 1], [3, 1, 1], [3, 2, 1]]
-        assert HeldoutSet(heldout.coords, heldout.counts, layout=mask).n_cells == 6
+        assert HeldoutSet(None, heldout.counts, layout=mask).n_cells == 6
+
+    def test_coords_with_a_layout_rejected(self):
+        # a fiber set's coordinates follow from its layout; a set takes one
+        heldout, mask = self._split()
+        with pytest.raises(ValueError, match="either coords or a layout"):
+            HeldoutSet(heldout.coords, heldout.counts, layout=mask)
+        with pytest.raises(ValueError, match="either coords or a layout"):
+            HeldoutSet(None, heldout.counts)
 
     def test_layout_that_does_not_tile_rejected(self):
         heldout, mask = self._split()
         with pytest.raises(ValueError, match="tile"):
-            HeldoutSet(heldout.coords[:-1], heldout.counts[:-1], layout=mask)
-        three = FiberMask(free_mode=0, stems=np.array([[0, 0], [1, 1], [2, 1]]))
-        with pytest.raises(ValueError, match="stem-major"):
-            HeldoutSet(heldout.coords, heldout.counts, layout=three)
-        with pytest.raises(ValueError, match="stem-major"):
-            HeldoutSet(heldout.coords[::-1], heldout.counts[::-1], layout=mask)
-        with pytest.raises(ValueError, match="mode count"):
-            HeldoutSet(heldout.coords[:, :2], heldout.counts, layout=mask)
+            HeldoutSet(None, heldout.counts[:-1], layout=mask)
+        empty = FiberMask(free_mode=1, stems=np.zeros((0, 2), dtype=np.int64))
+        with pytest.raises(ValueError, match="tile"):
+            HeldoutSet(None, heldout.counts, layout=empty)
 
     def test_positive_subset_has_no_layout(self):
         heldout, _ = self._split()
         pos = heldout.positive()
         assert pos.layout is None
         assert pos.counts.tolist() == [1, 4]
+        assert pos.coords.tolist() == [[0, 0, 0], [3, 2, 1]]
+
+    @staticmethod
+    def stored_table(mask, shape):
+        """The (n_cells, M) stem-major table that split used to store."""
+        d_free = shape[mask.free_mode]
+        table = np.empty((mask.n_stems * d_free, len(shape)), dtype=np.int64)
+        for j, m in enumerate(mask.stem_modes):
+            table[:, m] = np.repeat(mask.stems[:, j], d_free)
+        table[:, mask.free_mode] = np.tile(np.arange(d_free), mask.n_stems)
+        return table
+
+    @pytest.mark.parametrize("shape, free_mode", [
+        ((6, 5, 4), 0), ((6, 5, 4), 2), ((4, 3, 5, 3), 1), ((7, 1), 1),
+        ((5, 2), 0),
+    ])
+    def test_built_coords_equal_the_stored_table(self, shape, free_mode):
+        rng = np.random.default_rng(len(shape) + free_mode)
+        dense = rng.poisson(0.8, size=shape)
+        tensor = SparseCountTensor(shape, np.argwhere(dense), dense[dense > 0])
+        candidates = math.prod(shape) // shape[free_mode]
+        mask = make_fiber_mask(tensor, free_mode, 0.6, seed=2)
+        assert 0 < mask.n_stems < candidates
+        _, heldout = split(tensor, mask)
+        table = self.stored_table(mask, shape)
+        assert heldout.coords.dtype == np.int64
+        assert np.array_equal(heldout.coords, table)
+        # each held-out count is the tensor's count at its cell
+        assert np.array_equal(heldout.counts, dense[tuple(table.T)])
+        keep = heldout.counts > 0
+        pos = heldout.positive()
+        assert np.array_equal(pos.coords, table[keep])
+        assert np.array_equal(pos.counts, heldout.counts[keep])
+
+    def test_split_peak_is_below_two_cell_arrays(self, wide_mask, traced_peak):
+        # the counts are the one cell-length array; the coordinate table
+        # alone would be three
+        tensor, mask = wide_mask
+        n_cells = mask.n_stems * tensor.shape[mask.free_mode]
+        assert n_cells >= 50_000
+        assert traced_peak(split, tensor, mask) < 2 * 8 * n_cells
 
 
 def test_vocab_round_trip(tmp_path):
