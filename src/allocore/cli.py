@@ -7,6 +7,7 @@ line and in all files. The environment variable ALLOCORE_THREADS, a positive
 integer (default 1), bounds the worker processes used for fit sweeps over
 several Q values. It does not bound eval, which scores held-out fibers on the
 calling thread and one helper thread of its own (see ``evaluation``).
+trace reads the chain log and the samples' manifests, not their states.
 """
 
 from __future__ import annotations
@@ -29,14 +30,14 @@ from .evaluation import (
     ppd,
     ppd_constant_baseline,
     ppd_positive,
+    sample_dirs,
 )
-from .gibbs import CHAIN_LOG_NAME, ChainConfig, run_chain
+from .gibbs import CHAIN_LOG_NAME, ChainConfig, read_chain_log, run_chain
 from .state import Hyperparameters, init_explicit, load_state, recover_state, save_state
 from .synthetic import (
     SyntheticConfig,
     default_config,
     generate,
-    recovery_trace,
     write_config,
     write_histograms,
     write_trace,
@@ -166,7 +167,7 @@ def cmd_mask(args, argv) -> int:
         train, heldout = split(tensor, mask)
         print(f"mask_{i + 1:02d}: seed={args.mask_seed + i} stems={mask.n_stems} "
               f"train_nnz={train.nnz} heldout_cells={heldout.n_cells} "
-              f"heldout_positive={heldout.positive().n_cells}")
+              f"heldout_positive={np.count_nonzero(heldout.counts)}")
     _write_manifest(args.out, "mask", argv, {
         "data": os.path.abspath(args.data),
         "free_mode": args.mask_mode,
@@ -313,13 +314,9 @@ def _eval_run(run_dir) -> dict:
     except ValueError as exc:
         raise ValueError(f"{run_dir}: missing samples ({exc})") from None
 
-    # the seconds of every whole row; a killed run may leave its last row cut
-    wall = 0.0
     log_path = os.path.join(run_dir, CHAIN_LOG_NAME)
-    if os.path.exists(log_path):
-        with open(log_path) as f:
-            wall = sum(float(line.rsplit("\t", 1)[1]) for line in f
-                       if line[0].isdigit() and line.endswith("\n"))
+    rows = read_chain_log(log_path)[1] if os.path.exists(log_path) else []
+    wall = sum(float(row.rsplit("\t", 1)[1]) for row in rows)
     # a held-out set with no positive cell has no ppd_positive; the rest of
     # the row is still well defined
     positive = ppd_positive(samples, heldout) if heldout.counts.any() else math.nan
@@ -421,8 +418,7 @@ def cmd_classes(args, argv) -> int:
     if args.state:
         state = load_state(args.state)
     elif args.run:
-        samples = load_samples(args.run)
-        state = samples.samples[-1]
+        state = load_state(sample_dirs(args.run)[-1])
     else:
         raise ValueError("classes needs --state or --run")
     vocabs = None
@@ -451,19 +447,28 @@ def cmd_classes(args, argv) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_trace(args, argv) -> int:
-    samples = load_samples(args.run)
+    try:
+        iterations = [int(read_manifest(path)["next_iteration"]) - 1
+                      for path in sample_dirs(args.run)]
+    except KeyError as exc:
+        raise ValueError(f"{args.run}: a sample manifest is missing key {exc}") from None
+    log_path = os.path.join(args.run, CHAIN_LOG_NAME)
+    logged = {int(row.split("\t", 1)[0]): row.split("\t")[2:-1]
+              for row in read_chain_log(log_path)[1]}
+    if missing := sorted(set(iterations) - logged.keys()):
+        raise ValueError(f"{log_path}: no whole row for saved iteration {missing[0]}")
+    dims = np.array([logged[it] for it in iterations], dtype=np.int64)
+    q_eff, k_eff = dims[:, 0], dims[:, 1:]
     os.makedirs(args.out, exist_ok=True)
-    write_trace(samples, os.path.join(args.out, "trace.tsv"))
-    write_histograms(samples, os.path.join(args.out, "histograms.tsv"))
+    write_trace(iterations, q_eff, k_eff, os.path.join(args.out, "trace.tsv"))
+    write_histograms(q_eff, k_eff, os.path.join(args.out, "histograms.tsv"))
     _write_manifest(args.out, "trace", argv, {"run": os.path.abspath(args.run)})
-    print(f"wrote trace and histograms for {samples.S} samples to {args.out}")
-    q_eff, k_eff = recovery_trace(samples)
+    print(f"wrote trace and histograms for {len(iterations)} samples to {args.out}")
     print(f"{'statistic':<10} {'median':>7} {'iqr':>12}")
     rows = [("q_eff", q_eff)] + [(f"k_eff_{m + 1}", k) for m, k in enumerate(k_eff.T)]
     for name, series in rows:
         lo, hi = np.percentile(series, [25, 75])
-        print(f"{name:<10} {np.median(series):>7.1f} "
-              f"{f'[{lo:.0f}, {hi:.0f}]':>12}")
+        print(f"{name:<10} {np.median(series):>7.1f} {f'[{lo:.0f}, {hi:.0f}]':>12}")
     return 0
 
 
@@ -562,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_classes)
 
-    p = sub.add_parser("trace", help="export effective-dimension traces")
+    p = sub.add_parser("trace", help="export effective-dimension traces from the chain log")
     p.add_argument("--run", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_trace)

@@ -44,7 +44,7 @@ from scipy.special import gammaln, logsumexp, xlogy
 
 from .gibbs import PosteriorSamples, proportional_train_loglik
 from .state import (ModelState, class_tables, load_state, rate_product,
-                    reconstruct_cells, row_blocks)
+                    reconstruct_cells, recover_state, row_blocks)
 from .tensors import FiberMask, HeldoutSet, SparseCountTensor
 
 __all__ = [
@@ -57,6 +57,7 @@ __all__ = [
     "top_classes",
     "export_classes",
     "load_samples",
+    "sample_dirs",
     "poisson_logpmf",
 ]
 
@@ -249,23 +250,25 @@ def export_classes(state: ModelState, out_dir, n: int,
     return classes
 
 
-def load_samples(run_dir) -> PosteriorSamples:
-    """Read the saved posterior states of a fitted run directory, in chain
-    order. A sample whose rewrite stopped between ``save_state``'s two
-    renames is left only as ``.sample_NNNN.old``; it is read too, after
-    ``load_state`` moves it back."""
+def sample_dirs(run_dir) -> list[str]:
+    """A fitted run's ``sample_<digits>`` directories by index, which is chain
+    order, and any ``.sample_<digits>.old`` that a rewrite stopped between
+    ``save_state``'s two renames left, after ``recover_state`` moves it back."""
     sample_root = os.path.join(run_dir, "samples")
     if not os.path.isdir(sample_root):
         raise ValueError(f"{run_dir}: no samples directory")
-    names = set()
+    indices = {}
     for entry in os.listdir(sample_root):
-        if entry.startswith(".sample_") and entry.endswith(".old"):
-            entry = entry[1:-len(".old")]
-        if entry.startswith("sample_"):
-            names.add(entry)
-    if not names:
+        name = entry[1:-len(".old")] if entry[:1] == "." and entry.endswith(".old") else entry
+        if name.startswith("sample_") and name[len("sample_"):].isdecimal():
+            indices[name] = int(name[len("sample_"):])
+    if not indices:
         raise ValueError(f"{run_dir}: no saved samples")
-    # By iteration, not by name: sample_10000 sorts before sample_1001.
-    samples = [load_state(os.path.join(sample_root, name))
-               for name in sorted(names)]
-    return PosteriorSamples(sorted(samples, key=lambda st: st.next_iteration))
+    # by index, not by name: sample_10000 sorts before sample_1001
+    paths = [os.path.join(sample_root, name) for name in sorted(indices, key=indices.get)]
+    return [path for path in paths if recover_state(path)]
+
+
+def load_samples(run_dir) -> PosteriorSamples:
+    """The saved posterior states of a fitted run, in chain order."""
+    return PosteriorSamples([load_state(path) for path in sample_dirs(run_dir)])

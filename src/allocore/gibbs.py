@@ -51,6 +51,7 @@ __all__ = [
     "sample_pi",
     "pi_conditional_alphas",
     "run_chain",
+    "read_chain_log",
     "proportional_train_loglik",
     "observed_rate_total",
     "class_mass",
@@ -431,12 +432,15 @@ class PosteriorSamples:
 SWEEP_ORDER = ("thin", "locations", "lambda", "phi", "pi")
 
 CHAIN_LOG_NAME = "chain_log.tsv"
-INCOMPLETE_MARKER = "INCOMPLETE"
 
 
-def _chain_log_header(M: int) -> str:
-    k_cols = "\t".join(f"k_eff_{m + 1}" for m in range(M))
-    return f"iteration\tloglik\tq_eff\t{k_cols}\tseconds"
+def read_chain_log(path) -> tuple[list[str], list[str]]:
+    """The leading ``#`` and header lines and the whole data rows of the
+    chain log at ``path``; a row cut partway by a stop has no newline."""
+    with open(path) as f:
+        lines = [line for line in f if line.endswith("\n")]
+    rows = [line for line in lines if line[0].isdigit()]
+    return [line for line in lines if not line[0].isdigit()], rows
 
 
 def run_chain(train: SparseCountTensor, mask: FiberMask | None,
@@ -458,23 +462,20 @@ def run_chain(train: SparseCountTensor, mask: FiberMask | None,
 
     log_file = None
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         os.makedirs(os.path.join(out_dir, "samples"), exist_ok=True)
-        marker = os.path.join(out_dir, INCOMPLETE_MARKER)
+        marker = os.path.join(out_dir, "INCOMPLETE")
         with open(marker, "w") as f:
             f.write("chain in progress\n")
         log_path = os.path.join(out_dir, CHAIN_LOG_NAME)
-        # A resumed chain keeps the whole rows before its checkpoint; rows a
-        # killed run logged past it are about to be logged again, and a
-        # last row cut partway (the write buffer can flush mid-row) is gone.
+        # a resumed chain keeps the rows before its checkpoint and logs the rest again
         kept = []
         if os.path.exists(log_path) and first_iter > 1:
-            with open(log_path) as f:
-                kept = [line for line in f if line.endswith("\n") and (
-                    not line[0].isdigit() or int(line.split("\t", 1)[0]) < first_iter)]
+            head, rows = read_chain_log(log_path)
+            kept = head + [row for row in rows if int(row.split("\t", 1)[0]) < first_iter]
+        k_cols = "".join(f"k_eff_{m + 1}\t" for m in range(state.M))
         log_file = open(log_path, "w")
         log_file.writelines(kept or [f"# sweep={','.join(SWEEP_ORDER)} seed={seed}\n",
-                                     _chain_log_header(state.M) + "\n"])
+                                     f"iteration\tloglik\tq_eff\t{k_cols}seconds\n"])
 
     saved: list[ModelState] = []
     try:
@@ -496,9 +497,7 @@ def run_chain(train: SparseCountTensor, mask: FiberMask | None,
             if log_file is not None:
                 ll = proportional_train_loglik(state, train, corrections)
                 q_eff, k_eff = effective_dims(state)
-                row = [str(it), f"{ll:.6f}", str(q_eff)]
-                row += [str(k) for k in k_eff]
-                row.append(f"{elapsed:.6f}")
+                row = [str(it), f"{ll:.6f}", str(q_eff), *map(str, k_eff), f"{elapsed:.6f}"]
                 log_file.write("\t".join(row) + "\n")
 
             due = []
@@ -511,19 +510,17 @@ def run_chain(train: SparseCountTensor, mask: FiberMask | None,
                     index = (it - config.burn_in) // config.thin
                     due.append(os.path.join(out_dir, "samples", f"sample_{index:04d}"))
             if out_dir is not None and (it % config.thin == 0 or it == last_iter):
-                # a resume keeps the rows before its checkpoint, so they
-                # must be on disk before it is: a hard kill flushes nothing
-                log_file.flush()
                 # the checkpoint goes last: a save stopped before its swap
                 # resumes from the previous one and writes the sample again
                 due.append(os.path.join(out_dir, "checkpoint"))
             if due:
+                # resume and trace read these rows: a hard kill flushes nothing
+                log_file.flush()
                 save_state(state, *due)
     finally:
         if log_file is not None:
             log_file.close()
     if out_dir is not None:
-        marker = os.path.join(out_dir, INCOMPLETE_MARKER)
         if os.path.exists(marker):
             os.remove(marker)
     return PosteriorSamples(samples=saved)

@@ -166,22 +166,17 @@ def recovery_trace(samples: PosteriorSamples) -> tuple[np.ndarray, np.ndarray]:
     return q_eff, k_eff
 
 
-def write_trace(samples: PosteriorSamples, path) -> None:
-    q_eff, k_eff = recovery_trace(samples)
-    M = k_eff.shape[1]
+def write_trace(iterations, q_eff: np.ndarray, k_eff: np.ndarray, path) -> None:
     with open(path, "w") as f:
-        cols = "\t".join(f"k_eff_{m + 1}" for m in range(M))
+        cols = "\t".join(f"k_eff_{m + 1}" for m in range(k_eff.shape[1]))
         f.write(f"sample\titeration\t{cols}\tq_eff\n")
-        for s, it in enumerate(samples.iterations):
+        for s, it in enumerate(iterations):
             ks = "\t".join(str(int(k)) for k in k_eff[s])
             f.write(f"{s + 1}\t{it}\t{ks}\t{int(q_eff[s])}\n")
 
 
-def write_histograms(samples: PosteriorSamples, path) -> None:
-    q_eff, k_eff = recovery_trace(samples)
-    stats = {"q_eff": q_eff}
-    for m in range(k_eff.shape[1]):
-        stats[f"k_eff_{m + 1}"] = k_eff[:, m]
+def write_histograms(q_eff: np.ndarray, k_eff: np.ndarray, path) -> None:
+    stats = {"q_eff": q_eff, **{f"k_eff_{m + 1}": k for m, k in enumerate(k_eff.T)}}
     with open(path, "w") as f:
         f.write("statistic\tvalue\tcount\n")
         for name, vals in stats.items():

@@ -1,11 +1,18 @@
+import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from allocore import cli, evaluation
+from allocore import state as state_module
 from allocore.cli import main
+from allocore.evaluation import load_samples
 from allocore.state import load_state
-from allocore.synthetic import SyntheticConfig, default_config, generate
+from allocore.synthetic import (SyntheticConfig, default_config, generate, recovery_trace,
+                                write_histograms, write_trace)
 from allocore.tensors import (SparseCountTensor, load_coo, load_mask, make_fiber_mask,
                               split, write_coo)
 
@@ -16,6 +23,9 @@ def synth_coo(tmp_path_factory):
     tensor, _ = generate(default_config(seed=0))
     write_coo(tensor, path)
     return path
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(*args):
@@ -117,6 +127,16 @@ class TestMask:
         assert f"--mask-mode must name a mode in 1..3, got {mode}" in (
             capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
+
+    def test_heldout_positive_counted(self, synth_coo, tmp_path, capsys):
+        out = tmp_path / "masks"
+        assert run_cli("mask", "--data", synth_coo, "--mask-mode", "3",
+                       "--mask-frac", "0.05", "--mask-seed", "2", "--out", out) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        fields = dict(field.split("=") for field in line.split()[1:])
+        _, heldout = split(load_coo(synth_coo), load_mask(out / "mask_01.txt"))
+        assert 0 < int(fields["heldout_positive"]) == int((heldout.counts > 0).sum())
+        assert int(fields["heldout_cells"]) == heldout.n_cells
 
     def test_fraction_bounds(self, synth_coo, tmp_path, capsys):
         rc = run_cli("mask", "--data", synth_coo, "--mask-mode", "3",
@@ -460,6 +480,56 @@ class TestSynthCommand:
         assert tensor.shape == (12, 12, 4)
 
 
+# saves at sweeps 7, 9, 11 and 13: burn-in 5 is not a multiple of thin 2. At
+# Q = 20, q_eff differs between the saved sweeps and their neighbours.
+TRACE_FIT = ["--Q", "20", "--burnin", "5", "--iters", "8", "--thin", "2", "--seed", "2"]
+
+
+def trace_run(kind, synth_coo, tmp_path):
+    """A fitted run for trace: a masked fit, or a fit killed right after it
+    saved sample 2 (sweep 9, no checkpoint) and continued with --resume."""
+    run = tmp_path / "run"
+    fit = ["fit", "--data", str(synth_coo), *TRACE_FIT, "--out", str(run)]
+    if kind == "masked":
+        assert run_cli(*fit, "--mask-mode", "3", "--mask-frac", "0.05") == 0
+        return run
+    script = "\n".join([
+        "import os, sys",
+        "from allocore import cli, gibbs",
+        "save = gibbs.save_state",
+        "def save_then_exit(st, *dirs):",
+        "    save(st, *dirs)",
+        "    if str(dirs[0]).endswith('sample_0002'):",
+        "        os._exit(3)",
+        "gibbs.save_state = save_then_exit",
+        "cli.main(sys.argv[1:])",
+    ])
+    killed = subprocess.run([sys.executable, "-c", script, *fit],
+                            env={**os.environ, "PYTHONPATH": SRC}, timeout=300)
+    assert killed.returncode == 3
+    assert load_state(run / "checkpoint").next_iteration == 9
+    assert run_cli(*fit, "--resume") == 0
+    return run
+
+
+def trace_from_states(run, out, shown):
+    """What trace wrote from the saved states themselves: the files in
+    ``out``, and the stdout it printed for ``--out shown``."""
+    samples = load_samples(run)
+    q_eff, k_eff = recovery_trace(samples)
+    os.makedirs(out)
+    write_trace(samples.iterations, q_eff, k_eff, out / "trace.tsv")
+    write_histograms(q_eff, k_eff, out / "histograms.tsv")
+    lines = [f"wrote trace and histograms for {samples.S} samples to {shown}",
+             f"{'statistic':<10} {'median':>7} {'iqr':>12}"]
+    series = [("q_eff", q_eff)] + [(f"k_eff_{m + 1}", k) for m, k in enumerate(k_eff.T)]
+    for name, values in series:
+        lo, hi = np.percentile(values, [25, 75])
+        lines.append(f"{name:<10} {np.median(values):>7.1f} "
+                     f"{f'[{lo:.0f}, {hi:.0f}]':>12}")
+    return "\n".join(lines) + "\n"
+
+
 class TestTraceCommand:
     def test_median_and_iqr_table(self, synth_coo, tmp_path, capsys):
         run = tmp_path / "run"
@@ -474,6 +544,56 @@ class TestTraceCommand:
             "q_eff", "k_eff_1", "k_eff_2", "k_eff_3"]
         assert (tmp_path / "trace" / "trace.tsv").exists()
 
+    @pytest.mark.parametrize("kind", ["masked", "resumed"])
+    def test_log_gives_the_states_outputs(self, synth_coo, tmp_path, capsys,
+                                          monkeypatch, kind):
+        run = trace_run(kind, synth_coo, tmp_path)
+        got = tmp_path / "trace"
+        stdout = trace_from_states(run, tmp_path / "want", got)
+
+        # trace loads no state and reads no state data file
+        def refuse(*args):
+            raise AssertionError("trace loaded a state")
+        for module in (state_module, evaluation, cli):
+            monkeypatch.setattr(module, "load_state", refuse)
+        for sample in (run / "samples").iterdir():
+            for name in os.listdir(sample):
+                if name != "manifest.txt":
+                    os.remove(sample / name)
+        capsys.readouterr()
+        assert run_cli("trace", "--run", run, "--out", got) == 0
+        assert capsys.readouterr().out == stdout
+        for name in ("trace.tsv", "histograms.tsv"):
+            assert (got / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
+        rows = [row.split("\t") for row in (got / "trace.tsv").read_text().splitlines()[1:]]
+        assert [row[1] for row in rows] == ["7", "9", "11", "13"]
+        assert len({row[-1] for row in rows}) > 1
+
+    @pytest.mark.parametrize("lost", [9, 13])
+    def test_saved_iteration_without_a_log_row_named(self, synth_coo, tmp_path,
+                                                     capsys, lost):
+        run = trace_run("masked", synth_coo, tmp_path)
+        log = run / "chain_log.tsv"
+        text = log.read_text()
+        # row 9 deleted, or the last row (13) cut before its newline
+        log.write_text(text[:-1] if lost == 13 else "".join(
+            line for line in text.splitlines(True) if not line.startswith("9\t")))
+        capsys.readouterr()
+        assert run_cli("trace", "--run", run, "--out", tmp_path / "trace") == 2
+        assert capsys.readouterr().err == (
+            f"error: {log}: no whole row for saved iteration {lost}\n")
+
+    def test_sample_manifest_without_iteration_refused(self, synth_coo, tmp_path,
+                                                       capsys):
+        run = trace_run("masked", synth_coo, tmp_path)
+        manifest = run / "samples" / "sample_0002" / "manifest.txt"
+        manifest.write_text("".join(line for line in manifest.read_text().splitlines(True)
+                                    if not line.startswith("next_iteration=")))
+        capsys.readouterr()
+        assert run_cli("trace", "--run", run, "--out", tmp_path / "trace") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing key 'next_iteration'" in err
+
 
 class TestClassesCommand:
     def test_export_from_run(self, synth_coo, tmp_path):
@@ -486,6 +606,17 @@ class TestClassesCommand:
         assert rc == 0
         index = (out / "index.tsv").read_text().splitlines()
         assert len(index) - 1 <= 3
+
+    def test_run_loads_only_the_last_sample(self, synth_coo, tmp_path):
+        run = tmp_path / "run"
+        assert run_cli("fit", "--data", synth_coo, "--Q", "5", "--burnin", "0",
+                       "--iters", "4", "--thin", "2", "--seed", "2", "--out", run) == 0
+        intact, damaged = tmp_path / "intact", tmp_path / "damaged"
+        assert run_cli("classes", "--run", run, "--n", "3", "--out", intact) == 0
+        with open(run / "samples" / "sample_0001" / "core.txt", "a") as f:
+            f.write("1 1 1 1\n")
+        assert run_cli("classes", "--run", run, "--n", "3", "--out", damaged) == 0
+        assert (damaged / "index.tsv").read_bytes() == (intact / "index.tsv").read_bytes()
 
     def test_short_vocabulary_refused(self, synth_coo, tmp_path, capsys):
         run = tmp_path / "run"

@@ -17,6 +17,7 @@ from allocore.evaluation import (
     ppd,
     ppd_constant_baseline,
     ppd_positive,
+    sample_dirs,
     top_classes,
     train_loglik,
 )
@@ -488,6 +489,20 @@ def test_load_samples_reads_a_sample_stopped_between_renames(tmp_path):
     save_state(base, root / ".sample_0001.tmp")
     assert load_samples(tmp_path).iterations == [1, 2, 3]
     assert sorted(os.listdir(root)) == ["sample_0001", "sample_0002", "sample_0003"]
+
+
+def test_sample_dirs_by_index(tmp_path):
+    base = unit_state((2, 2))
+    root = tmp_path / "samples"
+    for index in (1001, 10000, 2, 999):
+        save_state(base, root / f"sample_{index:04d}")
+    os.rename(root / "sample_0002", root / ".sample_0002.old")
+    # neither a sample nor a stopped save's old directory: not listed
+    for name in ("sample_notes", "sample_0003.old", ".sample_0004.tmp"):
+        (root / name).mkdir()
+    assert sample_dirs(tmp_path) == [str(root / f"sample_{index:04d}")
+                                     for index in (2, 999, 1001, 10000)]
+    assert (root / "sample_0002").is_dir() and not (root / ".sample_0002.old").exists()
 
 
 def test_load_samples_missing_dir(tmp_path):

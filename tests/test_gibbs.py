@@ -22,6 +22,7 @@ from allocore.gibbs import (
     phi_conditional_params,
     pi_conditional_alphas,
     proportional_train_loglik,
+    read_chain_log,
     run_chain,
     sample_lambda,
     sample_locations,
@@ -770,6 +771,42 @@ class TestRunChain:
             return [line.split("\t")[:2] for line in lines[2:]]
         assert rows("part") == rows("full")
         assert [r[0] for r in rows("part")] == [str(i) for i in range(1, 21)]
+
+    def test_log_rows_on_disk_before_each_sample(self, tmp_path):
+        # sweep 7 saves sample 1 but no checkpoint; a process that dies
+        # right after that save must still leave row 7 in the log
+        train, state = random_instance(3)
+        write_coo(train, tmp_path / "train.coo")
+        save_state(state, tmp_path / "init")
+        script = "\n".join([
+            "import os, sys",
+            "from allocore import gibbs, state, tensors",
+            "save = gibbs.save_state",
+            "def save_then_exit(st, *dirs):",
+            "    save(st, *dirs)",
+            "    if str(dirs[0]).endswith('sample_0001'):",
+            "        os._exit(0)",
+            "gibbs.save_state = save_then_exit",
+            "gibbs.run_chain(tensors.load_coo(sys.argv[1]), None,",
+            "                state.load_state(sys.argv[2]),",
+            "                gibbs.ChainConfig(burn_in=5, total=6, thin=2),",
+            "                out_dir=sys.argv[3])",
+        ])
+        part = tmp_path / "part"
+        subprocess.run([sys.executable, "-c", script, str(tmp_path / "train.coo"),
+                        str(tmp_path / "init"), str(part)],
+                       env={**os.environ, "PYTHONPATH": SRC}, timeout=300, check=True)
+        assert load_state(part / "samples" / "sample_0001").next_iteration == 8
+        assert load_state(part / "checkpoint").next_iteration == 7
+        _, rows = read_chain_log(part / "chain_log.tsv")
+        assert [row.split("\t", 1)[0] for row in rows] == [str(i) for i in range(1, 8)]
+
+    def test_read_chain_log_drops_a_cut_row(self, tmp_path):
+        log = tmp_path / "chain_log.tsv"
+        head = ["# sweep=thin seed=1\n", "iteration\tloglik\tq_eff\tk_eff_1\tseconds\n"]
+        rows = ["1\t-2.5\t3\t2\t0.1\n", "2\t-2.0\t3\t2\t0.2\n"]
+        log.write_text("".join(head + rows) + "3\t-1.9\t3")
+        assert read_chain_log(log) == (head, rows)
 
     @pytest.mark.parametrize("stop_in", ["files", "copy", "renames"])
     def test_resume_after_checkpoint_write_stopped_partway(

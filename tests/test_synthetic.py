@@ -109,8 +109,9 @@ class TestRecoveryTrace:
         for s, state in enumerate(states):
             state.next_iteration = 10 * (s + 1) + 1
         post = PosteriorSamples(samples=states)
-        write_trace(post, tmp_path / "trace.tsv")
-        write_histograms(post, tmp_path / "hist.tsv")
+        q_eff, k_eff = recovery_trace(post)
+        write_trace(post.iterations, q_eff, k_eff, tmp_path / "trace.tsv")
+        write_histograms(q_eff, k_eff, tmp_path / "hist.tsv")
         trace = (tmp_path / "trace.tsv").read_text().splitlines()
         assert trace[0] == "sample\titeration\tk_eff_1\tk_eff_2\tq_eff"
         assert [row.split("\t")[1] for row in trace[1:]] == ["10", "20", "30"]
