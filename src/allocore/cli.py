@@ -19,7 +19,7 @@ import shlex
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -209,8 +209,12 @@ def _check_resume(out, init, fresh, params: dict, mask) -> None:
 
 
 def _fit_single(params: dict) -> str:
-    tensor = load_coo(params["data"])
     out = params["out"]
+    if not params["resume"] and any(os.path.exists(os.path.join(out, name))
+                                    for name in ("checkpoint", "samples")):
+        raise ValueError(f"{out}: holds a run already; continue it with --resume "
+                         f"or fit into another --out")
+    tensor = load_coo(params["data"])
 
     mask = None
     if params["mask"] is not None:
@@ -219,7 +223,7 @@ def _fit_single(params: dict) -> str:
         mask = make_fiber_mask(tensor, _free_mode(params["mask_mode"], tensor.ndim),
                                params["mask_frac"], params["mask_seed"])
 
-    hyper_flags = {k: params[k] for k in ("a0", "b0", "e0", "f0", "alpha0")}
+    hyper_flags = {f.name: params[f.name] for f in fields(Hyperparameters)}
     init = init_explicit(tensor.shape, params["K"], params["Q"],
                          MODE_WORDS[params["mode"]], Hyperparameters(**hyper_flags),
                          params["seed"])
@@ -228,7 +232,14 @@ def _fit_single(params: dict) -> str:
     if resuming:
         fresh, init = init, load_state(resume_from)
         _check_resume(out, init, fresh, params, mask)
+        last = params["burnin"] + params["iters"]
+        if last < init.next_iteration - 1:
+            raise ValueError(f"{out}: the checkpoint is at iteration "
+                             f"{init.next_iteration - 1}, past iteration {last} "
+                             f"where --burnin and --iters end")
 
+    config = ChainConfig(burn_in=params["burnin"], total=params["iters"],
+                         thin=params["thin"])
     os.makedirs(out, exist_ok=True)
     mask_record = ""
     train = tensor
@@ -238,8 +249,6 @@ def _fit_single(params: dict) -> str:
             write_mask(mask, os.path.join(out, mask_record))
         train, _ = split(tensor, mask)
 
-    config = ChainConfig(burn_in=params["burnin"], total=params["iters"],
-                         thin=params["thin"])
     _write_manifest(out, "fit", params["argv"], {
         "data": os.path.abspath(params["data"]),
         "mask": mask_record,
@@ -306,6 +315,9 @@ def _eval_run(run_dir) -> dict:
     man = read_manifest(run_dir)
     if not man.get("mask"):
         raise ValueError(f"{run_dir}: run was fit without a mask; nothing held out")
+    if os.path.exists(os.path.join(run_dir, "INCOMPLETE")):
+        raise ValueError(f"{run_dir}: INCOMPLETE marker: the fit has not finished; "
+                         f"finish it with fit --resume")
     tensor = load_coo(man["data"])
     mask = load_mask(os.path.join(run_dir, man["mask"]))
     train, heldout = split(tensor, mask)
@@ -521,11 +533,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", default=None,
                    help="comma list of per-mode core dimensions "
                         "(default: K_m = Q in every mode)")
-    p.add_argument("--a0", type=float, default=1.0)
-    p.add_argument("--b0", type=float, default=1.0)
-    p.add_argument("--e0", type=float, default=1.0)
-    p.add_argument("--f0", type=float, default=10.0)
-    p.add_argument("--alpha0", type=float, default=0.1)
+    for f in fields(Hyperparameters):
+        p.add_argument(f"--{f.name}", type=float, default=f.default)
     p.add_argument("--burnin", type=int, default=1000)
     p.add_argument("--iters", type=int, default=4000)
     p.add_argument("--thin", type=int, default=20)

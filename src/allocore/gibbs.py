@@ -29,6 +29,7 @@ from .state import (
     TINY,
     ModelState,
     cell_rates,
+    draw_categorical,
     effective_dims,
     reconstruct_cells,
     save_state,
@@ -385,10 +386,8 @@ def sample_locations(state: ModelState, sources: LatentSources,
         if (top == -np.inf).any():
             raise RuntimeError("all location candidates carry zero probability")
         w = np.exp(logw - top)
-        cum = np.cumsum(w / w.sum(axis=1, keepdims=True), axis=1)
-        # cum is non-decreasing, so the count is searchsorted(side="right")
-        state.core_locations[:, m] = np.minimum((cum <= u[:, m, None]).sum(axis=1),
-                                                logw.shape[1] - 1)
+        state.core_locations[:, m] = draw_categorical(w / w.sum(axis=1, keepdims=True),
+                                                      u[:, m])
 
 
 # ---------------------------------------------------------------------------

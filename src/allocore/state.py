@@ -11,11 +11,12 @@ modes share this representation:
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import math
 import os
 import shutil
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -28,6 +29,7 @@ __all__ = [
     "CORE_MODES",
     "init_canonical",
     "init_explicit",
+    "draw_categorical",
     "core_value_at",
     "reconstruct_at",
     "reconstruct_cells",
@@ -88,9 +90,9 @@ class Hyperparameters:
     alpha0: float = 0.1
 
     def __post_init__(self):
-        for name in ("a0", "b0", "e0", "f0", "alpha0"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise ValueError(f"{f.name} must be strictly positive")
 
     def alpha_vector(self, k: int) -> np.ndarray:
         return np.full(k, self.alpha0, dtype=np.float64)
@@ -162,24 +164,14 @@ class ModelState:
             raise ValueError("tucker_dense must enumerate every core cell")
 
     def snapshot(self) -> "ModelState":
-        return ModelState(
-            shape=self.shape,
-            hyper=self.hyper,
-            factors=[f.copy() for f in self.factors],
-            core_values=self.core_values.copy(),
-            core_locations=self.core_locations.copy(),
-            mode_priors=[p.copy() for p in self.mode_priors],
-            core_mode=self.core_mode,
-            seed=self.seed,
-            next_iteration=self.next_iteration,
-        )
+        return copy.deepcopy(self)
 
 
-def _categorical(rng: np.random.Generator, probs: np.ndarray, size: int) -> np.ndarray:
-    cum = np.cumsum(probs)
-    cum[-1] = max(cum[-1], 1.0)
-    return np.minimum(np.searchsorted(cum, rng.random(size), side="right"),
-                      len(probs) - 1).astype(np.int64)
+def draw_categorical(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw per uniform ``u[i]`` from the simplex on the last axis
+    of ``probs``: how many cumulative sums are <= ``u[i]``, capped at K - 1."""
+    cum = np.cumsum(probs, axis=-1)
+    return np.minimum((cum <= u[..., None]).sum(axis=-1), probs.shape[-1] - 1)
 
 
 def init_canonical(shape, Q: int, hyper: Hyperparameters | None = None,
@@ -236,7 +228,7 @@ def init_explicit(shape, K, Q: int, core_mode: str,
     elif diagonal:
         locations = np.arange(Q, dtype=np.int64)[:, None] * np.ones(M, dtype=np.int64)
     else:
-        locations = np.stack([_categorical(rng, p, Q) for p in mode_priors], axis=1)
+        locations = np.stack([draw_categorical(p, rng.random(Q)) for p in mode_priors], 1)
 
     state = ModelState(shape=shape, hyper=hyper, factors=factors,
                        core_values=core_values, core_locations=locations,
@@ -357,11 +349,12 @@ def effective_dims(state: ModelState) -> tuple[int, tuple[int, ...]]:
 
 # ---------------------------------------------------------------------------
 # State directory format: manifest.txt (key=value, through the shared
-# ``tensors.write_manifest`` and ``tensors.read_manifest``) plus one factor
-# matrix per mode, the allocated core entries, and the location-prior
-# simplexes. Data files are covered by a SHA-256 checksum recorded in the
-# manifest. A save writes a temp directory beside each target and swaps it
-# in; a save to several targets renders the text once and copies the files.
+# ``tensors.write_manifest`` and ``tensors.read_manifest``) plus data files
+# that ``np.savetxt`` writes (%.17g values, %d 1-based locations) and
+# ``_read_table`` reads: a factor matrix per mode, core.txt and priors.txt.
+# Data files are covered by a SHA-256 checksum recorded in the manifest. A
+# save writes a temp directory beside each target and swaps it in; a save to
+# several targets renders the text once and copies the files.
 # ---------------------------------------------------------------------------
 
 def _data_files(m: int) -> list[str]:
@@ -428,12 +421,12 @@ def _write_state(state: ModelState, dirpath) -> None:
     os.makedirs(dirpath)
     for m, f in enumerate(state.factors):
         np.savetxt(os.path.join(dirpath, f"factors_{m + 1}.txt"), f, fmt="%.17g")
-    with open(os.path.join(dirpath, "core.txt"), "w") as f:
-        for lam, loc in zip(state.core_values, state.core_locations):
-            f.write(f"{lam:.17g} " + " ".join(str(int(k) + 1) for k in loc) + "\n")
+    np.savetxt(os.path.join(dirpath, "core.txt"),
+               np.column_stack([state.core_values, state.core_locations + 1]),
+               fmt=["%.17g"] + ["%d"] * state.M)
     with open(os.path.join(dirpath, "priors.txt"), "w") as f:
         for p in state.mode_priors:
-            f.write(" ".join(f"{v:.17g}" for v in p) + "\n")
+            np.savetxt(f, p[None], fmt="%.17g")
 
     write_manifest(os.path.join(dirpath, "manifest.txt"), {
         "version": STATE_FORMAT_VERSION,
@@ -449,6 +442,19 @@ def _write_state(state: ModelState, dirpath) -> None:
     })
 
 
+def _read_table(dirpath, name, shape, lines=None) -> np.ndarray:
+    """The float table of the data file ``name`` in the state directory
+    ``dirpath``, or of ``lines`` from it, checked to have ``shape``."""
+    try:
+        table = np.loadtxt(os.path.join(dirpath, name) if lines is None else lines,
+                           ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{dirpath}: cannot parse {name}: {exc}") from None
+    if table.shape != shape:
+        raise ValueError(f"{dirpath}: {name} has shape {table.shape}, manifest says {shape}")
+    return table
+
+
 def load_state(dirpath) -> ModelState:
     recover_state(dirpath)
     man = read_manifest(dirpath)
@@ -462,8 +468,7 @@ def load_state(dirpath) -> ModelState:
         seed = int(man["seed"])
         next_iteration = int(man["next_iteration"])
         declared = man["checksum"]
-        gamma = {k: float(man[k]) for k in ("a0", "b0", "e0", "f0")}
-        alpha = {float(a) for a in man["alpha0"].split()}
+        hyper = {f.name: man[f.name] for f in fields(Hyperparameters)}
     except KeyError as exc:
         raise ValueError(f"{dirpath}: manifest missing key {exc}") from None
     if version != STATE_FORMAT_VERSION:
@@ -479,46 +484,30 @@ def load_state(dirpath) -> ModelState:
 
     # Older manifests repeat alpha0 once per mode and carry
     # divide_alpha_by_k=0; states of any other model are refused.
+    alpha = {float(a) for a in hyper.pop("alpha0").split()}
     if len(alpha) != 1:
         raise ValueError(f"{dirpath}: alpha0={man['alpha0']} is not one shared value")
     if man.get("divide_alpha_by_k", "0") != "0":
         raise ValueError(f"{dirpath}: divide_alpha_by_k="
                          f"{man['divide_alpha_by_k']} is not supported")
-    hyper = Hyperparameters(**gamma, alpha0=alpha.pop())
+    hyper = Hyperparameters(**{k: float(v) for k, v in hyper.items()}, alpha0=alpha.pop())
 
-    factors = []
-    for m in range(M):
-        mat = np.loadtxt(os.path.join(dirpath, f"factors_{m + 1}.txt"), ndmin=2)
-        if mat.shape != (shape[m], K[m]):
-            raise ValueError(
-                f"{dirpath}: factor matrix {m + 1} has shape {mat.shape}, "
-                f"manifest says {(shape[m], K[m])}")
-        factors.append(mat)
-
-    core_values = np.empty(Q)
-    locations = np.empty((Q, M), dtype=np.int64)
-    with open(os.path.join(dirpath, "core.txt")) as f:
-        rows = [line.split() for line in f if line.strip()]
-    if len(rows) != Q:
-        raise ValueError(f"{dirpath}: core file has {len(rows)} rows, manifest says {Q}")
-    for q, row in enumerate(rows):
-        if len(row) != M + 1:
-            raise ValueError(f"{dirpath}: core row {q + 1} has {len(row)} fields")
-        core_values[q] = float(row[0])
-        locations[q] = [int(t) - 1 for t in row[1:]]
-
-    priors = []
+    factors = [_read_table(dirpath, f"factors_{m + 1}.txt", (shape[m], K[m]))
+               for m in range(M)]
+    core = _read_table(dirpath, "core.txt", (Q, M + 1))
+    with np.errstate(invalid="ignore"):  # a NaN or huge entry is refused below
+        locations = core[:, 1:].astype(np.int64)
+    if (locations != core[:, 1:]).any():
+        raise ValueError(f"{dirpath}: core.txt holds a location that is not an integer")
     with open(os.path.join(dirpath, "priors.txt")) as f:
-        prior_rows = [line.split() for line in f if line.strip()]
-    if len(prior_rows) != M:
-        raise ValueError(f"{dirpath}: priors file has {len(prior_rows)} rows, want {M}")
-    for m, row in enumerate(prior_rows):
-        if len(row) != K[m]:
-            raise ValueError(f"{dirpath}: mode-{m + 1} prior has {len(row)} entries")
-        priors.append(np.array([float(t) for t in row]))
+        rows = [line for line in f if line.strip()]
+    if len(rows) != M:
+        raise ValueError(f"{dirpath}: priors.txt has {len(rows)} rows, want {M}")
+    priors = [_read_table(dirpath, f"priors.txt row {m + 1}", (1, K[m]), [row])[0]
+              for m, row in enumerate(rows)]
 
     state = ModelState(shape=shape, hyper=hyper, factors=factors,
-                       core_values=core_values, core_locations=locations,
+                       core_values=core[:, 0].copy(), core_locations=locations - 1,
                        mode_priors=priors, core_mode=mode, seed=seed,
                        next_iteration=next_iteration)
     state.validate()

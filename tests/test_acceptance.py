@@ -389,25 +389,28 @@ def test_criterion_07_complexity_envelope():
     train = SparseCountTensor(shape, cells, rng.integers(1, 6, size=len(cells)))
     assert train.nnz == 5000
 
-    def per_iter(init, iters=6, reps=3):
+    def per_iter(inits, iters=6, reps=20):
+        """Per-sweep CPU time of a chain from each state, the best of
+        ``reps`` runs. The states take turns, so that a disturbance of the
+        host slows one run of several points, not every run of one."""
         cfg = ChainConfig(burn_in=0, total=iters, thin=iters)
-        best = float("inf")
+        best = np.full(len(inits), np.inf)
         for _ in range(reps):
-            start = time.perf_counter()
-            run_chain(train, None, init, cfg)
-            best = min(best, (time.perf_counter() - start) / iters)
+            for i, init in enumerate(inits):
+                start = time.process_time()
+                run_chain(train, None, init, cfg)
+                best[i] = min(best[i], (time.process_time() - start) / iters)
         return best
 
     qs = np.array([10, 20, 40, 80])
-    times = np.array([per_iter(init_canonical(shape, int(q), seed=3))
-                      for q in qs])
+    inits = [init_canonical(shape, int(q), seed=3) for q in qs]
+    inits += [init_explicit(shape, (k,) * 3, 20, "allocore", seed=3) for k in (50, 500)]
+    *times, time_k50, time_k500 = per_iter(inits)
+    times = np.array(times)
     design = np.vstack([np.ones(len(qs)), qs]).T
     coef, *_ = np.linalg.lstsq(design, times, rcond=None)
     resid = times - design @ coef
     r2 = 1.0 - (resid ** 2).sum() / ((times - times.mean()) ** 2).sum()
-
-    time_k50 = per_iter(init_explicit(shape, (50,) * 3, 20, "allocore", seed=3))
-    time_k500 = per_iter(init_explicit(shape, (500,) * 3, 20, "allocore", seed=3))
     k_ratio = time_k500 / time_k50
 
     elapsed = time.time() - t0

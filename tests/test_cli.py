@@ -32,6 +32,12 @@ def run_cli(*args):
     return main([str(a) for a in args])
 
 
+def tree_bytes(root):
+    """Every file under ``root``, by path relative to it."""
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 class TestIngest:
     def test_event_fixture(self, tmp_path, capsys):
         events = tmp_path / "events.tsv"
@@ -245,6 +251,39 @@ class TestFit:
         assert capsys.readouterr().err.rstrip().endswith(f"the run's: {named}")
         assert not (tmp_path / "run" / "samples" / "sample_0002").exists()
 
+    def test_fresh_fit_into_a_run_refused(self, synth_coo, tmp_path, capsys):
+        # a second chain would leave the first one's later samples beside its own
+        out = tmp_path / "run"
+        common = ["--data", synth_coo, "--Q", "3", "--burnin", "0", "--thin", "1",
+                  "--out", out]
+        assert run_cli("fit", *common, "--seed", "1", "--iters", "4") == 0
+        before = tree_bytes(out)
+        capsys.readouterr()
+        assert run_cli("fit", *common, "--seed", "2", "--iters", "2") == 2
+        assert "--resume" in capsys.readouterr().err
+        assert tree_bytes(out) == before
+
+    def test_resume_ending_before_the_checkpoint_refused(self, synth_coo, tmp_path,
+                                                         capsys):
+        out = tmp_path / "run"
+        common = ["--data", synth_coo, "--Q", "3", "--seed", "5", "--thin", "1",
+                  "--burnin", "2", "--out", out]
+        assert run_cli("fit", *common, "--iters", "4") == 0
+        before = tree_bytes(out)
+        capsys.readouterr()
+        assert run_cli("fit", *common, "--iters", "1", "--resume") == 2
+        err = capsys.readouterr().err
+        assert "iteration 6" in err and "iteration 3" in err
+        assert tree_bytes(out) == before
+
+    def test_bad_thin_refused_before_writing(self, synth_coo, tmp_path, capsys):
+        rc = run_cli("fit", "--data", synth_coo, "--Q", "3", "--burnin", "0",
+                     "--iters", "3", "--thin", "2", "--mask-frac", "0.01",
+                     "--mask-mode", "3", "--out", tmp_path / "run")
+        assert rc == 2
+        assert "thin must divide total" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_format_flag_gone(self, synth_coo, tmp_path):
         # fit reads COO only; events go through 'allocore ingest'
         with pytest.raises(SystemExit) as exc:
@@ -429,6 +468,36 @@ class TestEval:
         assert row["ppd_positive"] == "nan"
         assert 0 < float(row["ppd_full"]) <= 1
         assert 0 < float(row["ppd_baseline"]) <= 1
+
+    def test_incomplete_run_refused_until_resumed(self, synth_coo, tmp_path, capsys):
+        # the fit's process dies right after its first sample is saved
+        out = tmp_path / "run"
+        flags = ["fit", "--data", str(synth_coo), "--mask-frac", "0.01",
+                 "--mask-mode", "3", "--Q", "3", "--burnin", "0", "--iters", "4",
+                 "--thin", "1", "--seed", "1", "--out", str(out)]
+        script = "\n".join([
+            "import os, sys",
+            "from allocore import cli, gibbs",
+            "save = gibbs.save_state",
+            "def save_then_exit(st, *dirs):",
+            "    save(st, *dirs)",
+            "    if str(dirs[0]).endswith('sample_0001'):",
+            "        os._exit(0)",
+            "gibbs.save_state = save_then_exit",
+            "cli.main(sys.argv[1:])",
+        ])
+        subprocess.run([sys.executable, "-c", script, *flags],
+                       env={**os.environ, "PYTHONPATH": SRC}, timeout=300, check=True)
+        assert (out / "INCOMPLETE").exists()
+        table = tmp_path / "results.tsv"
+        capsys.readouterr()
+        assert run_cli("eval", "--runs", out, "--out", table) == 2
+        assert "INCOMPLETE" in capsys.readouterr().err
+        assert len(table.read_text().splitlines()) == 1  # the header alone
+        assert run_cli(*flags, "--resume") == 0
+        assert run_cli("eval", "--runs", out, "--out", table) == 0
+        header, line = table.read_text().splitlines()
+        assert dict(zip(header.split("\t"), line.split("\t")))["S"] == "4"
 
     def test_missing_samples_reported(self, tmp_path, capsys):
         empty = tmp_path / "not_a_run"

@@ -1,6 +1,8 @@
+import hashlib
 import itertools
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from allocore import gibbs
+from allocore import cli, gibbs
 from allocore import state as state_module
 from allocore.gibbs import ChainConfig, run_chain
 from allocore.state import (
@@ -17,6 +19,7 @@ from allocore.state import (
     cell_rates,
     class_tables,
     core_value_at,
+    draw_categorical,
     effective_dims,
     init_canonical,
     init_explicit,
@@ -138,6 +141,39 @@ class TestInitExplicit:
                               core_mode="allocore", seed=0)
         assert state.core_values.shape == (20,)
         assert state.core_locations.shape == (20, 4)
+
+
+def test_snapshot_shares_no_array():
+    state = init_explicit((5, 4, 3), (3, 2, 2), Q=4, core_mode="allocore", seed=42)
+    snap = state.snapshot()
+    pairs = [(state.core_values, snap.core_values),
+             (state.core_locations, snap.core_locations),
+             *zip(state.factors, snap.factors), *zip(state.mode_priors, snap.mode_priors)]
+    for a, b in pairs:
+        assert np.array_equal(a, b) and a.dtype == b.dtype and b.flags.c_contiguous
+        assert not np.shares_memory(a, b)
+    assert (snap.shape, snap.hyper, snap.core_mode, snap.seed, snap.next_iteration) == (
+        state.shape, state.hyper, state.core_mode, state.seed, state.next_iteration)
+
+
+class TestDrawCategorical:
+    def test_equals_searchsorted_on_the_cumulative_sums(self):
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            k = int(rng.integers(1, 12))
+            u = rng.random(40)
+            probs = rng.dirichlet(np.full(k, rng.choice([0.05, 1.0])))
+            want = np.minimum(np.searchsorted(np.cumsum(probs), u, side="right"), k - 1)
+            assert np.array_equal(draw_categorical(probs, u), want)
+            # one simplex per row, one uniform per row
+            table = rng.dirichlet(np.ones(k), size=40)
+            want = [min(np.searchsorted(np.cumsum(p), x, side="right"), k - 1)
+                    for p, x in zip(table, u)]
+            assert np.array_equal(draw_categorical(table, u), want)
+
+    def test_sum_rounded_below_one_draws_the_last_entry(self):
+        probs = np.array([0.25, 0.25, 0.4999])
+        assert draw_categorical(probs, np.array([0.9999, 0.5])).tolist() == [2, 2]
 
 
 class TestCoreValueAt:
@@ -363,6 +399,8 @@ class TestStateIO:
         for m in range(3):
             assert np.array_equal(back.factors[m], state.factors[m])
             assert np.array_equal(back.mode_priors[m], state.mode_priors[m])
+        arrays = [back.core_values, back.core_locations, *back.factors, *back.mode_priors]
+        assert all(a.flags.c_contiguous for a in arrays)
         rng = np.random.default_rng(0)
         cells = np.stack([rng.integers(0, d, size=20) for d in state.shape], axis=1)
         assert np.array_equal(reconstruct_cells(back, cells),
@@ -488,6 +526,39 @@ class TestStateIO:
         man.write_text(man.read_text().replace("M=2", "M=3"))
         with pytest.raises(ValueError):
             load_state(tmp_path / "st")
+
+    # each edit maps a data file's rows of fields to the malformed rows
+    MALFORMED = {
+        "core-row-missing-field": ("core.txt", lambda rows: [rows[0][:-1]] + rows[1:]),
+        "core-location-not-integer": ("core.txt",
+                                      lambda rows: [rows[0][:-1] + ["1.5"]] + rows[1:]),
+        "core-value-not-numeric": ("core.txt",
+                                   lambda rows: [["abc"] + rows[0][1:]] + rows[1:]),
+        "prior-row-wrong-length": ("priors.txt", lambda rows: [rows[0][:-1]] + rows[1:]),
+        "factor-rows-not-shape": ("factors_1.txt", lambda rows: rows[:-1]),
+        "factor-columns-not-K": ("factors_2.txt", lambda rows: [r[:-1] for r in rows]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_data_file_named(self, tmp_path, capsys, case):
+        name, edit = self.MALFORMED[case]
+        st_dir = tmp_path / "st"
+        save_state(init_explicit((5, 4, 3), (3, 2, 2), Q=4, core_mode="allocore",
+                                 seed=42), st_dir)
+        rows = [line.split() for line in (st_dir / name).read_text().splitlines()]
+        (st_dir / name).write_text("".join(" ".join(row) + "\n" for row in edit(rows)))
+        # a checksum over the edited files, so that the parse is what refuses them
+        data = ["factors_1.txt", "factors_2.txt", "factors_3.txt", "core.txt", "priors.txt"]
+        digest = hashlib.sha256(b"".join((st_dir / n).read_bytes() for n in data))
+        man = st_dir / "manifest.txt"
+        man.write_text(re.sub(r"checksum=\w+", f"checksum={digest.hexdigest()}",
+                              man.read_text()))
+        with pytest.raises(ValueError, match=re.escape(str(st_dir))):
+            load_state(st_dir)
+        capsys.readouterr()
+        assert cli.main(["classes", "--state", str(st_dir),
+                         "--out", str(tmp_path / "classes")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestHyperparameters:
