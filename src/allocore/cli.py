@@ -271,6 +271,9 @@ def cmd_fit(args, argv) -> int:
     q_values = _int_list(args.Q)
     if not q_values:
         raise ValueError("--Q must name at least one budget")
+    repeated = sorted({q for q in q_values if q_values.count(q) > 1})
+    if repeated:  # two chains would share one Q<budget> directory
+        raise ValueError(f"--Q names budget {', '.join(map(str, repeated))} more than once")
     base = dict(vars(args), K=_int_list(args.K) if args.K else None, argv=argv)
     if len(q_values) == 1:
         _fit_single({**base, "Q": q_values[0], "out": args.out})
@@ -349,6 +352,12 @@ def _eval_run(run_dir) -> dict:
 
 def cmd_eval(args, argv) -> int:
     runs = list(args.runs)
+    first_with_key = {}
+    for run_dir in runs:
+        first = first_with_key.setdefault(_run_key(run_dir), run_dir)
+        if os.path.realpath(first) != os.path.realpath(run_dir):
+            raise ValueError(f"{first} and {run_dir} would both be row "
+                             f"{_run_key(run_dir)!r}; score them into separate --out tables")
 
     def q_of(run_dir):
         try:

@@ -6,29 +6,26 @@ takes the geometric mean over cells.
 
 The log masses are streamed over the blocks of ``state.row_blocks``, about
 1 MiB of one sample's rates each, so no (n_cells, Q) or (S, n_cells) table
-is ever held. A heldout set written by ``split`` is its fiber layout and
-one count per cell, with no coordinate table: all cells of a fiber share
-their stem, so a block of stems is scored from each sample's class tables
-as a (stems, D_free, Q) product, the stem rows times the whole free-mode
-table. A set without a layout (such as ``HeldoutSet.positive()``) is scored
-cell by cell through ``reconstruct_cells``. Both give the same bits as
-scoring every cell on its own with one log-sum-exp over all cells. The
-log masses are written in place, into one array per block.
+is ever held. Each sample's class tables are built once per call, and a
+block's rates are one ``rate_product`` of them per sample, summed over q. A
+heldout set written by ``split`` is its fiber layout and one count per cell,
+with no coordinate table: all cells of a fiber share their stem, so a block
+of stems is a (stems, D_free, Q) product, the stem rows times the whole
+free-mode table. A set without a layout (such as ``HeldoutSet.positive()``)
+indexes the tables by its cells' coordinates. Both give the same bits as
+scoring every cell on its own with one log-sum-exp over all cells. The log
+masses are written in place, into one array per block.
 
-The fiber path runs on two threads: the calling thread and one helper,
+Every set is scored on two threads: the calling thread and one helper,
 opened and joined inside the call. Both draw blocks from one shared
 iterator and write each block's masses to its own slice of the output, so
 two blocks are in flight at a time and the bits do not depend on which
 thread scored a block. The product, its sum over q and the log masses are
 NumPy loops that release the GIL, so the second block runs on a second
-core; with one block the helper finds no block left. The helper scores under
-the caller's NumPy error state. The cell path stays on the calling thread:
-it takes a small share of an eval, and profilers that wrap
-``reconstruct_cells`` assume that one thread calls it.
+core; with one block the helper finds no block left. The helper scores
+under the caller's NumPy error state.
 
 ``train_loglik`` scores one sample at a time over every training non-zero.
-``reconstruct_cells`` sums each block of cells' rates as it is made, so no
-(n_cells, Q) table is held there either.
 """
 
 from __future__ import annotations
@@ -44,8 +41,9 @@ from scipy.special import gammaln, logsumexp, xlogy
 
 from .gibbs import PosteriorSamples, proportional_train_loglik
 from .state import (ModelState, class_tables, load_state, rate_product,
-                    reconstruct_cells, recover_state, row_blocks)
-from .tensors import FiberMask, HeldoutSet, SparseCountTensor
+                    recover_state, row_blocks)
+from .state import reconstruct_cells  # noqa: F401  perfbench's EVAL_TARGETS wraps it here
+from .tensors import HeldoutSet, SparseCountTensor
 
 __all__ = [
     "PosteriorSamples",
@@ -73,57 +71,39 @@ def poisson_logpmf(counts: np.ndarray, rates) -> np.ndarray:
     return out
 
 
-def _fiber_yhats(samples: PosteriorSamples, layout: FiberMask):
-    """For a block of stems, the (S, cells) rates at the block's cells in
-    stem-major order: per sample the class-table rows of the stems times the
-    whole free-mode table, a (stems, D_free, Q) product summed over q."""
-    tables = [class_tables(state) for state in samples.samples]
-
-    def block_yhats(lo: int, hi: int):
-        index = [slice(None)] * (layout.stems.shape[1] + 1)
-        for j, m in enumerate(layout.stem_modes):
-            index[m] = layout.stems[lo:hi, j][:, None]
-        return np.array([
-            rate_product(state_tables, index).sum(axis=-1).ravel()
-            for state_tables in tables])
-    return block_yhats
-
-
 def _log_mixture_masses(samples: PosteriorSamples, heldout: HeldoutSet) -> np.ndarray:
     """log of each heldout cell's Poisson mass averaged over the samples,
-    streamed over blocks of cells, or of whole fibers when the set has a
-    layout. Fiber blocks are shared by the calling thread and one helper
-    thread (see the module docstring); each block is scored whole by one
-    thread, so the result does not depend on which."""
+    streamed over blocks of whole fibers, or of cells when the set has no
+    layout, from each sample's class tables. The calling thread and one
+    helper share the blocks (see the module docstring); each block is scored
+    whole by one thread, so the result does not depend on which."""
     layout = heldout.layout
-    if layout is None:
-        unit_cells, n_units = 1, heldout.n_cells
-
-        def block_yhats(lo: int, hi: int):
-            return np.array([reconstruct_cells(state, heldout.coords[lo:hi])
-                             for state in samples.samples])
-    else:
-        unit_cells, n_units = heldout.n_cells // layout.n_stems, layout.n_stems
-        block_yhats = _fiber_yhats(samples, layout)
+    unit_cells = 1 if layout is None else heldout.n_cells // layout.n_stems
+    tables = [class_tables(state) for state in samples.samples]
     Q = max(state.Q for state in samples.samples)
     out = np.empty(heldout.n_cells)
     # a list's iterator, unlike a generator, may be drawn from by two threads
-    blocks = iter(list(row_blocks(n_units, unit_cells * Q)))
+    blocks = iter(list(row_blocks(heldout.n_cells // unit_cells, unit_cells * Q)))
 
     def score():
         try:
             for lo, hi in blocks:
+                if layout is None:  # each mode's table rows at the cells
+                    index = heldout.coords[lo:hi].T
+                else:  # the stems' rows, and every row of the free mode
+                    index = [slice(None)] * (layout.stems.shape[1] + 1)
+                    for j, m in enumerate(layout.stem_modes):
+                        index[m] = layout.stems[lo:hi, j][:, None]
+                yhats = np.array([rate_product(state_tables, index).sum(axis=-1).ravel()
+                                  for state_tables in tables])
                 cells = slice(lo * unit_cells, hi * unit_cells)
-                masses = poisson_logpmf(heldout.counts[cells], block_yhats(lo, hi))
+                masses = poisson_logpmf(heldout.counts[cells], yhats)
                 out[cells] = logsumexp(masses, axis=0) - math.log(samples.S)
         finally:
             # after an error, leave the other thread no further blocks
             for _ in blocks:
                 pass
 
-    if layout is None:
-        score()
-        return out
     # NumPy keeps the error state per thread (1.x) or per context (2.x), so
     # the helper sets the caller's own
     errstate = dict(np.geterr(), call=np.geterrcall())

@@ -458,19 +458,28 @@ def _read_table(dirpath, name, shape, lines=None) -> np.ndarray:
 def load_state(dirpath) -> ModelState:
     recover_state(dirpath)
     man = read_manifest(dirpath)
-    try:
-        version = int(man["version"])
-        M = int(man["M"])
-        shape = tuple(int(d) for d in man["shape"].split())
-        K = tuple(int(k) for k in man["K"].split())
-        Q = int(man["Q"])
-        mode = man["mode"]
-        seed = int(man["seed"])
-        next_iteration = int(man["next_iteration"])
-        declared = man["checksum"]
-        hyper = {f.name: man[f.name] for f in fields(Hyperparameters)}
-    except KeyError as exc:
-        raise ValueError(f"{dirpath}: manifest missing key {exc}") from None
+
+    def value(key, parse=int):
+        """The manifest's ``key`` parsed; a missing or unparsable value is
+        refused with the directory and the key named."""
+        if key not in man:
+            raise ValueError(f"{dirpath}: manifest missing key '{key}'")
+        try:
+            return parse(man[key])
+        except ValueError:
+            raise ValueError(f"{dirpath}: manifest key '{key}' has the bad value "
+                             f"{man[key]!r}") from None
+
+    def ints(text):
+        return tuple(int(d) for d in text.split())
+
+    version, M, Q = value("version"), value("M"), value("Q")
+    shape, K = value("shape", ints), value("K", ints)
+    mode, declared = value("mode", str), value("checksum", str)
+    seed, next_iteration = value("seed"), value("next_iteration")
+    hyper = {f.name: value(f.name, float) for f in fields(Hyperparameters)
+             if f.name != "alpha0"}
+    alpha = value("alpha0", lambda text: {float(a) for a in text.split()})
     if version != STATE_FORMAT_VERSION:
         raise ValueError(
             f"{dirpath}: state format version {version} is not supported "
@@ -484,13 +493,12 @@ def load_state(dirpath) -> ModelState:
 
     # Older manifests repeat alpha0 once per mode and carry
     # divide_alpha_by_k=0; states of any other model are refused.
-    alpha = {float(a) for a in hyper.pop("alpha0").split()}
     if len(alpha) != 1:
         raise ValueError(f"{dirpath}: alpha0={man['alpha0']} is not one shared value")
     if man.get("divide_alpha_by_k", "0") != "0":
         raise ValueError(f"{dirpath}: divide_alpha_by_k="
                          f"{man['divide_alpha_by_k']} is not supported")
-    hyper = Hyperparameters(**{k: float(v) for k, v in hyper.items()}, alpha0=alpha.pop())
+    hyper = Hyperparameters(**hyper, alpha0=alpha.pop())
 
     factors = [_read_table(dirpath, f"factors_{m + 1}.txt", (shape[m], K[m]))
                for m in range(M)]

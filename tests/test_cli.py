@@ -310,6 +310,15 @@ class TestFit:
             assert "ALLOCORE_THREADS" in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
 
+    def test_repeated_budget_refused(self, synth_coo, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("ALLOCORE_THREADS", "2")
+        rc = run_cli("fit", "--data", synth_coo, "--Q", "3,2,3", "--burnin", "0",
+                     "--iters", "1", "--thin", "1", "--out", tmp_path / "sweep")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "budget 3 more than once" in err
+        assert not (tmp_path / "sweep").exists()
+
     def test_sweep_in_worker_processes_matches_serial(self, synth_coo, tmp_path,
                                                       monkeypatch):
         common = ["--data", synth_coo, "--Q", "2,3", "--burnin", "1",
@@ -416,6 +425,21 @@ class TestEval:
         assert rc == 0
         assert len(table.read_text().splitlines()) == 2
         assert "appended 1 row(s)" in capsys.readouterr().out
+
+    def test_two_runs_with_one_row_key_refused(self, fitted_run, tmp_path, capsys):
+        other = tmp_path / "copy" / fitted_run.name
+        shutil.copytree(fitted_run, other)
+        table = tmp_path / "results.tsv"
+        rc = run_cli("eval", "--runs", fitted_run, other, "--out", table)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(fitted_run) in err and str(other) in err and "'run'" in err
+        assert not table.exists()
+        # the same directory by another path is one run, scored once
+        rc = run_cli("eval", "--runs", fitted_run, fitted_run.parent / "." / "run",
+                     "--out", table)
+        assert rc == 0
+        assert len(table.read_text().splitlines()) == 2
 
     def test_sweep_rows_sorted_by_q(self, synth_coo, tmp_path):
         masks = tmp_path / "masks"

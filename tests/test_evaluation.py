@@ -229,12 +229,27 @@ class TestFiberPpdExact:
         assert list(row_blocks(0, 12)) == []
 
 
-class TestTwoThreadScoring:
-    """The fiber path's blocks are shared by the calling thread and one
-    helper thread, opened and joined inside each call."""
+def two_thread_case(kind, monkeypatch):
+    """``fiber_case``'s samples with its fiber set or that set's cells as a
+    cell set, and the number of blocks the set is scored in."""
+    samples, heldout = fiber_case((6, 5, 4), 2, monkeypatch, 2)
+    if kind == "cells":
+        heldout = HeldoutSet(heldout.coords, heldout.counts)
+        units, width = heldout.n_cells, 12
+    else:
+        units, width = heldout.layout.n_stems, 4 * 12
+    return samples, heldout, len(list(row_blocks(units, width)))
 
-    def test_error_in_a_block_is_raised_and_no_thread_left(self, monkeypatch):
-        samples, heldout = fiber_case((6, 5, 4), 2, monkeypatch, 2)
+
+class TestTwoThreadScoring:
+    """The blocks of a fiber set and of a cell set alike are shared by the
+    calling thread and one helper thread, opened and joined inside each
+    call."""
+
+    @pytest.mark.parametrize("kind", ["fibers", "cells"])
+    def test_error_in_a_block_is_raised_and_no_thread_left(self, kind, monkeypatch):
+        samples, heldout, n_blocks = two_thread_case(kind, monkeypatch)
+        assert n_blocks > 3  # blocks are left after the third
         calls = itertools.count(1)
         logpmf = evaluation.poisson_logpmf
 
@@ -249,10 +264,11 @@ class TestTwoThreadScoring:
             ppd(samples, heldout)
         assert threading.active_count() == before
         # the blocks left were not scored once the error was seen
-        assert next(calls) < 8
+        assert next(calls) <= n_blocks
 
-    def test_both_threads_score_under_the_callers_errstate(self, monkeypatch):
-        samples, heldout = fiber_case((6, 5, 4), 2, monkeypatch, 2)
+    @pytest.mark.parametrize("kind", ["fibers", "cells"])
+    def test_both_threads_score_under_the_callers_errstate(self, kind, monkeypatch):
+        samples, heldout, n_blocks = two_thread_case(kind, monkeypatch)
         want = reference_log_masses(samples, heldout)
         logpmf = evaluation.poisson_logpmf
         divide = {}
@@ -278,8 +294,8 @@ class TestTwoThreadScoring:
         finally:
             sys.setswitchinterval(switch)
         assert list(divide.values()) == ["raise", "raise"]
-        # seven blocks, each scored once
-        assert next(calls) == 8
+        # each block scored once
+        assert next(calls) == n_blocks + 1
         assert np.array_equal(got, want)
 
 

@@ -502,6 +502,21 @@ class TestStateIO:
         with pytest.raises(ValueError, match=f"manifest missing key '{key}'"):
             load_state(tmp_path / "st")
 
+    @pytest.mark.parametrize("key, bad", [("seed", "x"), ("M", "x"), ("a0", "abc"),
+                                          ("alpha0", "abc"), ("next_iteration", "1.5")])
+    def test_bad_value_named(self, tmp_path, capsys, key, bad):
+        st_dir = tmp_path / "st"
+        save_state(init_canonical((3, 3), Q=2, seed=0), st_dir)
+        man = st_dir / "manifest.txt"
+        man.write_text(re.sub(rf"^{key}=.*$", f"{key}={bad}", man.read_text(),
+                              flags=re.MULTILINE))
+        with pytest.raises(ValueError, match=re.escape(f"{st_dir}: manifest key '{key}'")):
+            load_state(st_dir)
+        assert cli.main(["classes", "--state", str(st_dir),
+                         "--out", str(tmp_path / "classes")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(st_dir) in err and f"'{key}'" in err
+
     def test_corruption_detected(self, tmp_path):
         state = init_canonical((3, 3), Q=2, seed=0)
         save_state(state, tmp_path / "st")

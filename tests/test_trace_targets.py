@@ -68,7 +68,7 @@ def test_traced_masked_sweep_records_every_layer(tmp_path, monkeypatch):
 
     # the eval phase, as the benchmark runs it: every call through the
     # module attribute it is wrapped under. Blocks of two stems give both
-    # threads of the fiber path blocks to score.
+    # scoring threads blocks to score.
     monkeypatch.setattr(state, "_BLOCK_BYTES", 8 * 2 * X.shape[2] * init.Q)
     recorder = spans.SpanRecorder()
     threads = set()
@@ -99,11 +99,11 @@ def test_traced_masked_sweep_records_every_layer(tmp_path, monkeypatch):
             assert parent_start <= start <= end <= parent_end, name
     stats = spans.span_stats(recorder.spans)
     for _, _, name, *_ in spans.EVAL_TARGETS:
-        assert stats[name]["calls"] >= 1, name
-    # the held-out set is scored by fibers; only ppd_positive's cells take
-    # the cell path
-    assert recorder.counts["evaluation.reconstruct_cells.cells"] == (
-        samples.S * heldout.positive().n_cells)
+        if name != "evaluation.reconstruct_cells":
+            assert stats[name]["calls"] >= 1, name
+    # the fiber set and ppd_positive's cell set are both scored from each
+    # sample's class tables, so eval makes no reconstruct_cells call
+    assert "evaluation.reconstruct_cells" not in stats
     for (mod, attr), original in originals.items():
         assert _owner(mod).__dict__[attr] is original
 
