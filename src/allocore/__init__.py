@@ -52,7 +52,6 @@ from .evaluation import (  # noqa: F401
 )
 from .synthetic import (  # noqa: F401
     SyntheticConfig,
-    GroundTruth,
     default_config,
     generate,
     recovery_trace,

@@ -18,6 +18,7 @@ import os
 import shlex
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, fields
 
@@ -33,7 +34,8 @@ from .evaluation import (
     sample_dirs,
 )
 from .gibbs import CHAIN_LOG_NAME, ChainConfig, read_chain_log, run_chain
-from .state import Hyperparameters, init_explicit, load_state, recover_state, save_state
+from .state import (Hyperparameters, effective_dims, init_explicit, load_state,
+                    recover_state, save_state)
 from .synthetic import (
     SyntheticConfig,
     default_config,
@@ -86,8 +88,11 @@ def _write_manifest(out_dir, command: str, argv: list[str], extra: dict) -> None
     })
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t.strip()]
+def _int_list(text: str, flag: str) -> list[int]:
+    try:
+        return [int(t) for t in text.split(",") if t.strip()]
+    except ValueError:
+        raise ValueError(f"{flag} expects a comma list of integers, got {text!r}") from None
 
 
 def _free_mode(mask_mode: int | None, M: int) -> int:
@@ -103,12 +108,6 @@ def _free_mode(mask_mode: int | None, M: int) -> int:
 
 def _schema_from_args(args) -> tuple[EventSchema, TimeBinning | None]:
     mode_cols = [c.strip() for c in args.mode_cols.split(",")]
-    vocabs = {}
-    for spec in args.vocab or []:
-        if "=" not in spec:
-            raise ValueError(f"--vocab expects MODE=PATH, got {spec!r}")
-        m_txt, path = spec.split("=", 1)
-        vocabs[int(m_txt) - 1] = tuple(load_vocab(path))
     time_mode = None
     binning = None
     if args.time_col is not None:
@@ -117,6 +116,21 @@ def _schema_from_args(args) -> tuple[EventSchema, TimeBinning | None]:
         time_mode = mode_cols.index(args.time_col)
         binning = TimeBinning(unit=args.time_bin, start=args.time_start,
                               end=args.time_end)
+    vocabs = {}
+    for spec in args.vocab or []:
+        m_txt, eq, path = spec.partition("=")
+        m = int(m_txt) - 1 if m_txt.strip().isdecimal() else -1
+        if not eq or not 0 <= m < len(mode_cols):
+            raise ValueError(f"--vocab expects MODE=PATH with MODE in 1..{len(mode_cols)}, "
+                             f"got {spec!r}")
+        if m in vocabs:
+            raise ValueError(f"--vocab names mode {m + 1} more than once")
+        if m == time_mode:
+            raise ValueError(f"--vocab {spec!r}: mode {m + 1} is binned by --time-col")
+        labels = load_vocab(path)
+        if repeated := [lab for lab, n in Counter(labels).items() if n > 1]:
+            raise ValueError(f"--vocab {spec!r}: label {repeated[0]!r} appears more than once")
+        vocabs[m] = tuple(labels)
     delimiter = args.delimiter
     if delimiter is None:
         delimiter = "," if str(args.data).endswith(".csv") else "\t"
@@ -268,17 +282,18 @@ def _fit_single(params: dict) -> str:
 
 
 def cmd_fit(args, argv) -> int:
-    q_values = _int_list(args.Q)
+    q_values = _int_list(args.Q, "--Q")
     if not q_values:
         raise ValueError("--Q must name at least one budget")
+    if min(q_values) < 1:
+        raise ValueError(f"--Q budgets must be at least 1, got {args.Q!r}")
     repeated = sorted({q for q in q_values if q_values.count(q) > 1})
     if repeated:  # two chains would share one Q<budget> directory
         raise ValueError(f"--Q names budget {', '.join(map(str, repeated))} more than once")
-    base = dict(vars(args), K=_int_list(args.K) if args.K else None, argv=argv)
-    if len(q_values) == 1:
-        _fit_single({**base, "Q": q_values[0], "out": args.out})
-        return 0
-    jobs = [{**base, "Q": q, "out": os.path.join(args.out, f"Q{q:04d}")}
+    base = dict(vars(args), K=_int_list(args.K, "--K") if args.K else None, argv=argv)
+    # one budget fits into --out itself, several into a Q<budget> directory each
+    one = len(q_values) == 1
+    jobs = [{**base, "Q": q, "out": args.out if one else os.path.join(args.out, f"Q{q:04d}")}
             for q in q_values]
     workers = min(_threads(), len(jobs))
     if workers == 1:
@@ -396,8 +411,9 @@ def cmd_synth(args, argv) -> int:
     # any generator flag given makes a config of the given flags and
     # SyntheticConfig's defaults; with none, the default design
     flags = {
-        "shape": tuple(_int_list(args.shape)) if args.shape else None,
-        "true_dims": tuple(_int_list(args.true_dims)) if args.true_dims else None,
+        "shape": tuple(_int_list(args.shape, "--shape")) if args.shape else None,
+        "true_dims": (tuple(_int_list(args.true_dims, "--true-dims"))
+                      if args.true_dims else None),
         "true_budget": args.true_Q,
         "column_scale": args.scale,
         "column_concentration": args.concentration,
@@ -408,10 +424,11 @@ def cmd_synth(args, argv) -> int:
     config = (SyntheticConfig(**given, seed=args.seed) if given
               else default_config(seed=args.seed))
     tensor, truth = generate(config)
+    q_eff, k_eff = effective_dims(truth)
     os.makedirs(args.out, exist_ok=True)
     write_coo(tensor, os.path.join(args.out, "tensor.coo"))
     write_config(config, os.path.join(args.out, "config.txt"))
-    save_state(truth.state, os.path.join(args.out, "truth"))
+    save_state(truth, os.path.join(args.out, "truth"))
     _write_manifest(args.out, "synth", argv, {
         "shape": " ".join(str(d) for d in config.shape),
         "true_dims": " ".join(str(k) for k in config.true_dims),
@@ -419,15 +436,14 @@ def cmd_synth(args, argv) -> int:
         "seed": config.seed,
         "nnz": tensor.nnz,
         "total": tensor.total(),
-        "q_eff": truth.q_eff,
-        "k_eff": " ".join(str(k) for k in truth.k_eff),
+        "q_eff": q_eff,
+        "k_eff": " ".join(str(k) for k in k_eff),
     })
     print(f"shape: {'x'.join(str(d) for d in config.shape)}")
     print(f"true_dims: {','.join(str(k) for k in config.true_dims)} "
           f"true_budget: {config.true_budget}")
     print(f"nnz: {tensor.nnz} total: {tensor.total()}")
-    print(f"effective: q_eff={truth.q_eff} "
-          f"k_eff={','.join(str(k) for k in truth.k_eff)}")
+    print(f"effective: q_eff={q_eff} k_eff={','.join(str(k) for k in k_eff)}")
     return 0
 
 

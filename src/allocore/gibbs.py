@@ -146,10 +146,9 @@ class MaskCorrections:
     With no mask (``active`` false) all corrections are zero: the samplers
     skip them and call no method here.
 
-    Every method covers all q at once. Stem products multiply the modes
-    before the one left out from left to right and the modes after it from
-    right to left, then the two parts; sums over stems run along the last
-    axis of a C-ordered (Q, S) array, so each q's row adds in stem order.
+    Every method covers all q at once. Stem modes multiply in mode order;
+    sums over stems run along the last axis of a C-ordered (Q, S) array, so
+    each q's row adds in stem order.
 
     Each stem mode keeps one contiguous column of stem indices. A mode's
     (Q, S) column gathers the small (Q, D_m) rows of q's factor values first,
@@ -160,43 +159,23 @@ class MaskCorrections:
     it in place, so a call holds only the columns it multiplies.
     """
 
-    def __init__(self, mask: FiberMask | None, shape: tuple[int, ...]):
-        self.shape = tuple(shape)
+    def __init__(self, mask: FiberMask | None):
         self.active = mask is not None and mask.n_stems > 0
         if self.active:
             self.free_mode = mask.free_mode
             self.stem_modes = mask.stem_modes
-            self.stem_columns = [np.ascontiguousarray(mask.stems[:, j])
-                                 for j in range(len(self.stem_modes))]
-
-    def _column(self, state: ModelState, j: int) -> np.ndarray:
-        """(Q, S): each stem's mode-m factor value at each q's sub-index,
-        where m is stem mode j."""
-        m = self.stem_modes[j]
-        rows = state.factors[m].T[state.core_locations[:, m]]
-        return np.take(rows, self.stem_columns[j], axis=1)
+            self.stem_columns = list(np.ascontiguousarray(mask.stems.T))
 
     def _stem_product(self, state: ModelState, skip: int = -1) -> np.ndarray:
         """(Q, S): product over the stem modes other than ``skip`` of each
         stem's factor values at each q's sub-indices; all ones when ``skip``
         is the only stem mode."""
-        def product(js):
-            columns = (self._column(state, j) for j in js)
-            out = next(columns, None)
-            for column in columns:
-                out *= column
-            return out
-
-        J = len(self.stem_modes)
-        cut = self.stem_modes.index(skip) if skip in self.stem_modes else J
-        prefix = product(range(cut))
-        suffix = product(range(J - 1, cut, -1))
-        if prefix is None and suffix is None:
-            return np.ones((state.Q, len(self.stem_columns[0])))
-        if prefix is None or suffix is None:
-            return suffix if prefix is None else prefix
-        prefix *= suffix
-        return prefix
+        out = None
+        for m, stems in zip(self.stem_modes, self.stem_columns):
+            if m != skip:
+                column = np.take(state.factors[m].T[state.core_locations[:, m]], stems, axis=1)
+                out = column if out is None else np.multiply(out, column, out=out)
+        return np.ones((state.Q, len(self.stem_columns[0]))) if out is None else out
 
     def masked_rate_totals(self, state: ModelState,
                            colsums: list[np.ndarray]) -> np.ndarray:
@@ -209,14 +188,13 @@ class MaskCorrections:
                      colsums: list[np.ndarray]) -> np.ndarray:
         """(Q, D_m): w[q, d] = sum over masked cells with mode-m coordinate d
         of the product of q's factor values over the other modes."""
-        Q, D = state.Q, self.shape[m]
+        D = state.shape[m]
         if m == self.free_mode:
             total = self._stem_product(state).sum(axis=1)
-            return np.full((Q, D), total[:, None])
+            return np.full((state.Q, D), total[:, None])
         stems = self.stem_columns[self.stem_modes.index(m)]
-        keys = np.arange(Q)[:, None] * D + stems
-        u = np.bincount(keys.ravel(), weights=self._stem_product(state, m).ravel(),
-                        minlength=Q * D).reshape(Q, D)
+        u = np.array([np.bincount(stems, weights=row, minlength=D)
+                      for row in self._stem_product(state, m)])
         return u * colsums[self.free_mode][state.core_locations[:, self.free_mode, None]]
 
     def phi_corrections(self, state: ModelState, m: int,
@@ -455,7 +433,7 @@ def run_chain(train: SparseCountTensor, mask: FiberMask | None,
     if config.seed is not None:
         state.seed = int(config.seed)
     seed = state.seed
-    corrections = MaskCorrections(mask, train.shape)
+    corrections = MaskCorrections(mask)
     last_iter = config.burn_in + config.total
     first_iter = state.next_iteration
 

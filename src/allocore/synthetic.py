@@ -18,7 +18,6 @@ from .tensors import SparseCountTensor, write_manifest
 
 __all__ = [
     "SyntheticConfig",
-    "GroundTruth",
     "default_config",
     "generate",
     "recovery_trace",
@@ -82,20 +81,11 @@ def default_config(seed: int = 0) -> SyntheticConfig:
     return SyntheticConfig(fixed_columns={2: _DEFAULT_MODE3}, seed=seed)
 
 
-@dataclass(frozen=True)
-class GroundTruth:
-    """The generating state plus its effective core occupancy."""
-
-    state: ModelState
-    q_eff: int
-    k_eff: tuple[int, ...]
-
-
-def generate(config: SyntheticConfig) -> tuple[SparseCountTensor, GroundTruth]:
+def generate(config: SyntheticConfig) -> tuple[SparseCountTensor, ModelState]:
     """Draw a tensor from the generative model, seeded by ``config.seed``:
     gamma core values at uniform rank-1 locations, per-class Poisson event
     totals allocated independently along each mode by the normalized factor
-    columns."""
+    columns. Returns the tensor and the state that generated it."""
     rng = np.random.default_rng(config.seed)
     M = len(config.shape)
     Q = config.true_budget
@@ -151,8 +141,7 @@ def generate(config: SyntheticConfig) -> tuple[SparseCountTensor, GroundTruth]:
         mode_priors=[np.full(k, 1.0 / k) for k in config.true_dims],
         core_mode="allocore", seed=config.seed)
     truth_state.validate()
-    q_eff, k_eff = effective_dims(truth_state)
-    return tensor, GroundTruth(state=truth_state, q_eff=q_eff, k_eff=k_eff)
+    return tensor, truth_state
 
 
 def recovery_trace(samples: PosteriorSamples) -> tuple[np.ndarray, np.ndarray]:

@@ -549,6 +549,8 @@ def load_events(path, schema: EventSchema,
                 val = tok[col].strip()
                 i = tables[m].get(val)
                 if i is None:
+                    if not val:
+                        raise ValueError(f"{path}:{ln}: empty mode-{m + 1} field")
                     if m in fixed:
                         raise ValueError(
                             f"{path}:{ln}: label {val!r} not in mode-{m + 1} vocabulary")

@@ -34,6 +34,7 @@ from allocore.state import (
     PI_BLOCK,
     THIN_BLOCK,
     Hyperparameters,
+    effective_dims,
     init_canonical,
     init_explicit,
     reconstruct_cells,
@@ -48,8 +49,8 @@ def report(num, name, ok):
     assert ok, f"criterion {num} ({name}) failed"
 
 
-def no_mask(shape):
-    return MaskCorrections(None, shape)
+def no_mask():
+    return MaskCorrections(None)
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +87,7 @@ def test_criterion_01_location_conditional_oracle():
     rng = np.random.default_rng(2024)
     n = 100_000
     hits = np.zeros(2)
-    corr = no_mask(shape)
+    corr = no_mask()
     for _ in range(n):
         sample_locations(state, src, corr, rng)
         hits[state.core_locations[0, 0]] += 1
@@ -116,7 +117,7 @@ def _fixture_for_conjugates():
 def test_criterion_02_conjugate_update_oracles():
     t0 = time.time()
     shape, state, src, train = _fixture_for_conjugates()
-    corr = no_mask(shape)
+    corr = no_mask()
     h = state.hyper
     n = 50_000
     ok = True
@@ -198,7 +199,7 @@ def test_criterion_03_thinning_conservation():
     train = SparseCountTensor(shape, cells, rng.integers(1, 30, len(cells)))
     state = init_explicit(shape, (5, 5, 3), 6, "allocore",
                           Hyperparameters(f0=1.0), seed=3)
-    corr = no_mask(shape)
+    corr = no_mask()
     seed = 31
     for it in range(1, 1001):
         src = thin_counts(state, train, substream(seed, it, THIN_BLOCK))
@@ -235,7 +236,7 @@ def test_criterion_04_geweke():
     mc = np.array([stats(init_explicit(shape, K, Q, "allocore", hyper, seed=i))
                    for i in range(n)])
 
-    corr = no_mask(shape)
+    corr = no_mask()
     state = init_explicit(shape, K, Q, "allocore", hyper, seed=123456)
     chain_seed = 654321
     rng_data = np.random.default_rng(24)
@@ -315,7 +316,7 @@ def test_criterion_06_cp_equivalence():
     K = Q = 5
     seed = 77
     engine = init_canonical(shape, Q, seed=seed, core_mode="cp_locked")
-    corr = no_mask(shape)
+    corr = no_mask()
 
     # CP-form sampler: k latent classes, rate lambda_k * prod_m U_m[d_m, k];
     # no location indirection anywhere
@@ -429,7 +430,8 @@ def test_criterion_07_complexity_envelope():
 def test_criterion_08_synthetic_recovery():
     t0 = time.time()
     tensor, truth = generate(default_config(seed=0))
-    assert truth.q_eff == 6
+    true_q, true_k = effective_dims(truth)
+    assert true_q == 6
     init = init_canonical(tensor.shape, 20, seed=100)
     cfg = ChainConfig(burn_in=1000, total=1000, thin=10)
     post = run_chain(tensor, None, init, cfg)
@@ -438,7 +440,7 @@ def test_criterion_08_synthetic_recovery():
     med_k = np.median(k_eff, axis=0)
     elapsed = time.time() - t0
     print(f"  median q_eff={med_q} (truth 6), median k_eff={med_k} "
-          f"(truth {truth.k_eff})")
+          f"(truth {true_k})")
     ok = (abs(med_q - 6) <= 2
           and abs(med_k[0] - 4) <= 2
           and abs(med_k[1] - 4) <= 2

@@ -100,6 +100,41 @@ class TestIngest:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--vocab", "5=v.txt"], "--vocab expects MODE=PATH with MODE in 1..3, got '5=v.txt'"),
+        (["--vocab", "0=v.txt"], "--vocab expects MODE=PATH with MODE in 1..3, got '0=v.txt'"),
+        (["--vocab", "x=v.txt"], "--vocab expects MODE=PATH with MODE in 1..3, got 'x=v.txt'"),
+        (["--vocab", "v.txt"], "--vocab expects MODE=PATH with MODE in 1..3, got 'v.txt'"),
+        (["--vocab", "1=v.txt", "--vocab", "1=v.txt"], "--vocab names mode 1 more than once"),
+        (["--vocab", "2=dup.txt"], "--vocab '2=dup.txt': label 'b' appears more than once"),
+        (["--time-col", "t", "--vocab", "3=months.txt"],
+         "--vocab '3=months.txt': mode 3 is binned by --time-col"),
+    ], ids=["past-last-mode", "mode-0", "not-a-number", "no-mode", "twice", "repeated-label",
+            "time-mode"])
+    def test_vocab_misuse_refused(self, tmp_path, capsys, monkeypatch, flags, message):
+        # a vocabulary that names no mode, or that ingest cannot apply as
+        # given, is refused before anything is read or written
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ev.tsv").write_text("i\tj\tt\na\tb\t2001-01\nc\tb\t2001-03\n")
+        (tmp_path / "v.txt").write_text("a\nc\n")
+        (tmp_path / "dup.txt").write_text("b\nb\nd\n")
+        (tmp_path / "months.txt").write_text("2001-01\n2001-02\n")
+        rc = run_cli("ingest", "--data", "ev.tsv", "--mode-cols", "i,j,t", *flags,
+                     "--out", tmp_path / "out")
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_mode_field_refused(self, tmp_path, capsys, monkeypatch):
+        # a blank label would be a blank vocab line, which load_vocab drops
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ev.tsv").write_text("i\tj\na\tx\nb\t \n")
+        rc = run_cli("ingest", "--data", "ev.tsv", "--mode-cols", "i,j",
+                     "--out", tmp_path / "out")
+        assert rc == 2
+        assert capsys.readouterr().err == "error: ev.tsv:3: empty mode-2 field\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestMask:
     def test_batch_masks_distinct_and_reproducible(self, synth_coo, tmp_path,
@@ -317,6 +352,18 @@ class TestFit:
         assert rc == 2
         err = capsys.readouterr().err
         assert "budget 3 more than once" in err
+        assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("budgets, message", [
+        ("3,0", "--Q budgets must be at least 1, got '3,0'"),
+        ("3,x", "--Q expects a comma list of integers, got '3,x'"),
+    ], ids=["zero", "not-a-number"])
+    def test_every_budget_checked_before_fitting(self, synth_coo, tmp_path, capsys,
+                                                 budgets, message):
+        rc = run_cli("fit", "--data", synth_coo, "--Q", budgets, "--burnin", "0",
+                     "--iters", "1", "--thin", "1", "--out", tmp_path / "sweep")
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "sweep").exists()
 
     def test_sweep_in_worker_processes_matches_serial(self, synth_coo, tmp_path,

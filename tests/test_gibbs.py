@@ -52,8 +52,8 @@ from allocore.tensors import FiberMask, SparseCountTensor, split, write_coo
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def no_mask(shape):
-    return MaskCorrections(None, shape)
+def no_mask():
+    return MaskCorrections(None)
 
 
 def random_instance(seed, shape=(6, 5, 4), Q=4, n=12, max_count=9):
@@ -268,7 +268,7 @@ class TestThinning:
 class TestAggregateConsistency:
     def test_phi_shape_groups_sources_by_current_locations(self):
         train, state = random_instance(5, Q=6)
-        corr = no_mask(train.shape)
+        corr = no_mask()
         for it in range(1, 30):
             src = thin_counts(state, train, substream(9, it, THIN_BLOCK))
             sample_locations(state, src, corr, substream(9, it, LOCATION_BLOCK))
@@ -292,7 +292,7 @@ class TestLambdaConditional:
         train = SparseCountTensor((2, 2), np.zeros((0, 2), dtype=np.int64),
                                   np.zeros(0, dtype=np.int64))
         src = thin_counts(state, train, substream(0, 1, THIN_BLOCK))
-        shape, rate = lambda_conditional_params(state, src, no_mask((2, 2)))
+        shape, rate = lambda_conditional_params(state, src, no_mask())
         assert shape[0] == pytest.approx(1.0)
         assert rate[0] == pytest.approx(2.0)
 
@@ -303,14 +303,14 @@ class TestLambdaConditional:
         state.factors[1][:] = 1.5
         train = SparseCountTensor.from_entries((2, 2), {(0, 0): 10})
         src = thin_counts(state, train, substream(0, 1, THIN_BLOCK))
-        shape, rate = lambda_conditional_params(state, src, no_mask((2, 2)))
+        shape, rate = lambda_conditional_params(state, src, no_mask())
         assert shape[0] == pytest.approx(11.0)
         assert rate[0] == pytest.approx(7.0)
 
     def test_draws_positive(self):
         train, state = random_instance(2)
         src = thin_counts(state, train, substream(2, 1, THIN_BLOCK))
-        sample_lambda(state, src, no_mask(train.shape), substream(2, 1, 3))
+        sample_lambda(state, src, no_mask(), substream(2, 1, 3))
         assert (state.core_values > 0).all()
 
 
@@ -322,7 +322,7 @@ class TestPhiConditional:
         state.factors[1][:] = 1.0
         train = SparseCountTensor.from_entries((1, 1), {(0, 0): 7})
         src = thin_counts(state, train, substream(0, 1, THIN_BLOCK))
-        shape, rate = phi_conditional_params(state, src, no_mask((1, 1)), 0)
+        shape, rate = phi_conditional_params(state, src, no_mask(), 0)
         assert shape[0, 0] == pytest.approx(8.0)
         assert rate[0, 0] == pytest.approx(13.0)
 
@@ -334,7 +334,7 @@ class TestPhiConditional:
         train = SparseCountTensor((1, 1), np.zeros((0, 2), dtype=np.int64),
                                   np.zeros(0, dtype=np.int64))
         src = thin_counts(state, train, substream(0, 1, THIN_BLOCK))
-        shape, rate = phi_conditional_params(state, src, no_mask((1, 1)), 0)
+        shape, rate = phi_conditional_params(state, src, no_mask(), 0)
         assert shape[0, 0] == pytest.approx(1.0)
         assert rate[0, 0] == pytest.approx(11.0)
         assert 1.0 / 11.0 == pytest.approx(shape[0, 0] / rate[0, 0])
@@ -342,7 +342,7 @@ class TestPhiConditional:
     def test_unoccupied_columns_fall_back_to_prior(self):
         train, state = random_instance(4, Q=1)
         src = thin_counts(state, train, substream(4, 1, THIN_BLOCK))
-        shape, rate = phi_conditional_params(state, src, no_mask(train.shape), 0)
+        shape, rate = phi_conditional_params(state, src, no_mask(), 0)
         k_used = state.core_locations[0, 0]
         for k in range(state.K[0]):
             if k != k_used:
@@ -384,7 +384,7 @@ class TestLocationConditional:
         src = thin_counts(state, train, substream(0, 1, THIN_BLOCK))
         rng = np.random.default_rng(0)
         for _ in range(50):
-            sample_locations(state, src, no_mask((3, 3)), rng)
+            sample_locations(state, src, no_mask(), rng)
             assert (state.core_locations == 0).all()
 
     def test_symmetric_state_uniform(self):
@@ -399,7 +399,7 @@ class TestLocationConditional:
         rng = np.random.default_rng(13)
         n = 50_000
         hits = np.zeros(4)
-        corr = no_mask((3, 3))
+        corr = no_mask()
         for _ in range(n):
             sample_locations(state, src, corr, rng)
             hits[state.core_locations[0, 0]] += 1
@@ -409,7 +409,7 @@ class TestLocationConditional:
     def test_weights_match_direct_formula(self):
         train, state = random_instance(6, Q=3)
         src = thin_counts(state, train, substream(6, 1, THIN_BLOCK))
-        corr = no_mask(train.shape)
+        corr = no_mask()
         for q in range(3):
             for m in range(3):
                 logw = location_log_weights(state, src, corr, m)[q]
@@ -453,7 +453,7 @@ class TestLocationSweepOrder:
             stems = np.unique(rng.integers(0, others, size=(4, M - 1)), axis=0)
             mask = FiberMask(free_mode=free_mode, stems=stems)
             train, _ = split(tensor, mask)
-            corr = MaskCorrections(mask, shape)
+            corr = MaskCorrections(mask)
             assert corr.active
             state = init_explicit(shape, (3, 4, 3, 2)[:M], 6, "allocore",
                                   Hyperparameters(f0=1.0), seed=free_mode)
@@ -484,7 +484,7 @@ class TestMaskCorrections:
         stems = np.array(all_stems[:-1])  # mask everything except one fiber
         mask = FiberMask(free_mode=free_mode, stems=stems)
         train, heldout = split(tensor, mask)
-        state = init_explicit(shape, (2, 3, 2)[:M], 4, "allocore",
+        state = init_explicit(shape, (2, 3, 2, 2)[:M], 4, "allocore",
                               Hyperparameters(f0=1.0), seed=7)
         observed = sorted(set(cells) - {tuple(r) for r in heldout.coords})
         return shape, train, mask, state, observed
@@ -496,11 +496,14 @@ class TestMaskCorrections:
         # one stem mode, whose mode weights take the empty stem product
         pytest.param((4, 5), 0, id="two-modes-0"),
         pytest.param((4, 5), 1, id="two-modes-1"),
+        # three stem modes, so leaving one out can skip a middle one
+        pytest.param((3, 3, 2, 2), 0, id="four-modes-0"),
+        pytest.param((3, 3, 2, 2), 3, id="four-modes-3"),
     ])
     def test_rate_sums_match_direct_summation(self, shape, free_mode):
         shape, train, mask, state, observed = self._brute_setup(free_mode, shape)
         M = len(shape)
-        corr = MaskCorrections(mask, shape)
+        corr = MaskCorrections(mask)
         src = thin_counts(state, train, substream(1, 1, THIN_BLOCK))
 
         def others_product(q, c, skip=-1):
@@ -568,7 +571,7 @@ class TestMaskCorrections:
             f *= rng.gamma(0.3, 1.0, size=f.shape)
         stems = np.unique(rng.integers(0, (30, 20), size=(400, 2)), axis=0)
         assert len(stems) >= 200
-        corr = MaskCorrections(FiberMask(free_mode=free_mode, stems=stems), shape)
+        corr = MaskCorrections(FiberMask(free_mode=free_mode, stems=stems))
         kappa = state.core_locations
         ref = np.empty((Q, len(stems)), order="F")
         for q in range(Q):
@@ -585,12 +588,12 @@ class TestMaskCorrections:
 
     def test_corrections_peak_at_two_stem_tables(self, traced_peak):
         # each call gathers only the (Q, S) columns it multiplies, and the
-        # stem-mode weights add one table of bincount keys
+        # stem-mode weights bincount the product one class row at a time
         shape, Q = (60, 60, 10), 64
         rng = np.random.default_rng(4)
         stems = np.unique(rng.integers(0, 60, size=(3000, 2)), axis=0)
         state = init_canonical(shape, Q, seed=4)
-        corr = MaskCorrections(FiberMask(free_mode=2, stems=stems), shape)
+        corr = MaskCorrections(FiberMask(free_mode=2, stems=stems))
         colsums = [f.sum(axis=0) for f in state.factors]
         table = Q * len(stems) * 8
         assert traced_peak(corr.masked_rate_totals, state, colsums) <= 2.1 * table
@@ -600,10 +603,10 @@ class TestMaskCorrections:
         train, state = random_instance(8)
         src = thin_counts(state, train, substream(8, 1, THIN_BLOCK))
         empty = FiberMask(free_mode=0, stems=np.zeros((0, 2), dtype=np.int64))
-        for corr in (no_mask(train.shape), MaskCorrections(empty, train.shape)):
+        for corr in (no_mask(), MaskCorrections(empty)):
             assert not corr.active
             s1, r1 = lambda_conditional_params(state, src, corr)
-            s0, r0 = lambda_conditional_params(state, src, no_mask(train.shape))
+            s0, r0 = lambda_conditional_params(state, src, no_mask())
             assert np.array_equal(s1, s0) and np.array_equal(r1, r0)
 
     @pytest.mark.parametrize("shape", [(4, 3, 5, 2), (3, 4, 2, 3, 2)])
@@ -618,7 +621,7 @@ class TestMaskCorrections:
         for free_mode in range(M):
             others = [d for m, d in enumerate(shape) if m != free_mode]
             stems = np.unique(rng.integers(0, others, size=(12, M - 1)), axis=0)
-            corr = MaskCorrections(FiberMask(free_mode=free_mode, stems=stems), shape)
+            corr = MaskCorrections(FiberMask(free_mode=free_mode, stems=stems))
             s_free = colsums[free_mode][state.core_locations[:, free_mode]]
             w_free = corr.mode_weights(state, free_mode, colsums)
             totals = [w_free[q, 0] * s_free[q] for q in range(Q)]
@@ -942,5 +945,5 @@ class TestTrainLoglik:
         state = init_canonical((3, 3), 2, seed=0)
         train = SparseCountTensor((3, 3), np.zeros((0, 2), dtype=np.int64),
                                   np.zeros(0, dtype=np.int64))
-        ll = proportional_train_loglik(state, train, no_mask((3, 3)))
+        ll = proportional_train_loglik(state, train, no_mask())
         assert ll == pytest.approx(-observed_rate_total(state))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from allocore.gibbs import PosteriorSamples, observed_rate_total
-from allocore.state import init_canonical
+from allocore.state import effective_dims, init_canonical
 from allocore.synthetic import (
     SyntheticConfig,
     default_config,
@@ -21,12 +21,12 @@ class TestGenerate:
     def test_default_fixed_columns_sum_to_scale(self):
         config = default_config()
         _, truth = generate(config)
-        colsums = truth.state.factors[2].sum(axis=0)
+        colsums = truth.factors[2].sum(axis=0)
         assert np.allclose(colsums, 5.0)
-        assert truth.state.factors[2].shape == (5, 2)
+        assert truth.factors[2].shape == (5, 2)
         # random columns are rescaled to the same column mass
         for m in range(2):
-            assert np.allclose(truth.state.factors[m].sum(axis=0), 5.0)
+            assert np.allclose(truth.factors[m].sum(axis=0), 5.0)
 
     def test_deterministic(self):
         a, _ = generate(default_config(seed=4))
@@ -43,7 +43,7 @@ class TestGenerate:
         devs = []
         for seed in range(60):
             tensor, truth = generate(replace(config, seed=seed))
-            lam = truth.state.core_values[0]
+            lam = truth.core_values[0]
             mean = 125.0 * lam
             devs.append((tensor.total() - mean) / math.sqrt(mean))
         devs = np.array(devs)
@@ -55,7 +55,7 @@ class TestGenerate:
         inside = 0
         for seed in range(200):
             tensor, truth = generate(replace(config, seed=seed))
-            mean = observed_rate_total(truth.state)
+            mean = observed_rate_total(truth)
             if abs(tensor.total() - mean) <= 4 * math.sqrt(mean):
                 inside += 1
         assert inside >= 198
@@ -70,9 +70,10 @@ class TestGenerate:
 
     def test_truth_consistency(self):
         tensor, truth = generate(default_config(seed=2))
-        assert truth.state.shape == tensor.shape
-        assert truth.q_eff <= truth.state.Q
-        assert all(k <= kk for k, kk in zip(truth.k_eff, truth.state.K))
+        assert truth.shape == tensor.shape
+        q_eff, k_eff = effective_dims(truth)
+        assert q_eff <= truth.Q
+        assert all(k <= kk for k, kk in zip(k_eff, truth.K))
 
     def test_fixed_column_validation(self):
         with pytest.raises(ValueError, match="shape"):
