@@ -107,6 +107,8 @@ def _free_mode(mask_mode: int | None, M: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _schema_from_args(args) -> tuple[EventSchema, TimeBinning | None]:
+    if args.mode_cols is None:
+        raise ValueError("--format events needs --mode-cols")
     mode_cols = [c.strip() for c in args.mode_cols.split(",")]
     time_mode = None
     binning = None
@@ -142,11 +144,19 @@ def _schema_from_args(args) -> tuple[EventSchema, TimeBinning | None]:
     return schema, binning
 
 
+# the flags only --format events reads; --time-bin has a default, so is not here
+_EVENT_FLAGS = ("mode_cols", "count_col", "delimiter", "vocab", "time_col",
+                "time_start", "time_end")
+
+
 def cmd_ingest(args, argv) -> int:
     if args.format == "events":
         schema, binning = _schema_from_args(args)
         tensor, vocabs = load_events(args.data, schema, binning)
     else:
+        if given := [f for f in _EVENT_FLAGS if getattr(args, f) is not None]:
+            raise ValueError("--format coo takes no "
+                             + ", ".join("--" + f.replace("_", "-") for f in given))
         tensor = load_coo(args.data)
         vocabs = [[str(i + 1) for i in range(d)] for d in tensor.shape]
     os.makedirs(args.out, exist_ok=True)
@@ -169,6 +179,8 @@ def cmd_ingest(args, argv) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_mask(args, argv) -> int:
+    if args.num_masks < 1:
+        raise ValueError(f"--num-masks must be at least 1, got {args.num_masks}")
     tensor = load_coo(args.data)
     free_mode = _free_mode(args.mask_mode, tensor.ndim)
     # every mask is drawn, and so checked, before anything is written

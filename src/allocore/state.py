@@ -50,7 +50,7 @@ CORE_MODES = ("allocore", "cp_locked", "tucker_dense")
 TINY = 1e-300
 
 # Sub-stream identifiers; a generator is derived per (seed, iteration, block).
-INIT_BLOCK, THIN_BLOCK, LOCATION_BLOCK, LAMBDA_BLOCK, PHI_BLOCK, PI_BLOCK, DATA_BLOCK = range(7)
+INIT_BLOCK, THIN_BLOCK, LOCATION_BLOCK, LAMBDA_BLOCK, PHI_BLOCK, PI_BLOCK = range(6)
 
 STATE_FORMAT_VERSION = 1
 

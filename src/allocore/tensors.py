@@ -67,13 +67,12 @@ class SparseCountTensor:
             raise ValueError("coords and counts disagree in length")
         if counts.size and counts.min() <= 0:
             raise ValueError("stored counts must be strictly positive")
-        if coords.size:
-            if coords.min() < 0 or (coords >= np.asarray(shape)).any():
-                raise ValueError("coordinate out of range for shape")
-        order = np.lexsort(coords.T[::-1])
-        coords, counts = coords[order], counts[order]
-        if coords.shape[0] > 1 and np.all(coords[1:] == coords[:-1], axis=1).any():
+        if coords.size and (coords.min() < 0 or (coords >= np.asarray(shape)).any()):
+            raise ValueError("coordinate out of range for shape")
+        order, starts = _row_order(coords, shape)
+        if len(starts) < len(order):
             raise ValueError("duplicate coordinates; aggregate entries first")
+        coords, counts = coords[order], counts[order]
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "coords", _frozen(coords))
         object.__setattr__(self, "counts", _frozen(counts))
@@ -104,20 +103,32 @@ class SparseCountTensor:
 _COUNT_MAX = np.iinfo(np.int64).max
 
 
+def _row_order(rows: np.ndarray, dims) -> tuple[np.ndarray, np.ndarray]:
+    """The stable order that sorts the int64 ``rows`` lexicographically, as
+    ``np.lexsort(rows.T[::-1])`` does, and the sorted index of the first row
+    of each run of equal rows. A row's key is its row-major index within
+    ``dims``; rows with no int64 index there (more than 2**63 - 1 cells, a
+    row outside ``dims``, no columns) are keyed by their rank instead. A
+    stable sort of sorted keys takes one pass."""
+    try:  # with no columns the index is one scalar, which fits only one row
+        keys = np.ravel_multi_index(tuple(rows.T), dims).reshape(len(rows))
+    except (TypeError, ValueError):
+        keys = np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
+    order = np.argsort(keys, kind="stable")
+    return order, np.flatnonzero(np.diff(keys[order], prepend=-1))
+
+
 def _sum_repeats(shape, coords, counts, path=None, lines=None) -> SparseCountTensor:
     """The tensor of the entries (coords[i], counts[i]), 0-based, with a
     repeated cell's counts summed and zero totals dropped. ``counts`` holds
     int64 values or Python ints of any size. The first entry, in input
     order, that is negative or takes its cell's total past ``_COUNT_MAX``
     raises ValueError naming its line of ``path`` (given ``lines``) or its
-    cell."""
-    counts = np.asarray(counts)
+    cell. The cells come out in ``_row_order``'s order, so the tensor
+    constructor's own sort of them takes one pass."""
     coords = np.asarray(coords, dtype=np.int64).reshape(len(counts), len(shape))
-    order = np.lexsort(coords.T[::-1])
-    coords, counts = coords[order], counts[order]
-    # the first entry of each cell; [:n] leaves none when there are no entries
-    starts = np.flatnonzero(np.concatenate(
-        ([True], (coords[1:] != coords[:-1]).any(axis=1)))[:len(counts)])
+    order, starts = _row_order(coords, shape)  # starts: each cell's first entry
+    counts = np.asarray(counts)[order]
     if counts.size and (counts.min() < 0 or counts.max() > _COUNT_MAX // counts.size):
         # each entry's running total within its cell, added exactly
         cum = np.cumsum(counts.astype(object))
@@ -126,13 +137,14 @@ def _sum_repeats(shape, coords, counts, path=None, lines=None) -> SparseCountTen
         if bad.size:
             j = bad[np.argmin(order[bad])]  # the first in input order
             at = (f"{path}:{lines[order[j]]}" if lines is not None
-                  else f"cell {tuple(coords[j].tolist())}")
+                  else f"cell {tuple(coords[order[j]].tolist())}")
             raise ValueError(f"{at}: negative count {counts[j]}" if counts[j] < 0
                              else f"{at}: count total of the cell exceeds {_COUNT_MAX}")
     totals = np.add.reduceat(counts.astype(np.int64, copy=False), starts)
+    first = order[starts]
     if not totals.all():  # a cell whose counts are all 0 is not stored
-        starts, totals = starts[totals > 0], totals[totals > 0]
-    return SparseCountTensor(shape, coords[starts], totals)
+        first, totals = first[totals > 0], totals[totals > 0]
+    return SparseCountTensor(shape, coords[first], totals)
 
 
 @dataclass(frozen=True)
@@ -154,10 +166,10 @@ class FiberMask:
             raise ValueError("stems must be a 2-d array")
         if stems.size and stems.min() < 0:
             raise ValueError("stem coordinates must be non-negative")
-        order = np.lexsort(stems.T[::-1])
-        stems = stems[order]
-        if stems.shape[0] > 1 and np.all(stems[1:] == stems[:-1], axis=1).any():
+        order, starts = _row_order(stems, stems.max(axis=0, initial=0) + 1)
+        if len(starts) < len(order):
             raise ValueError("stems must be unique")
+        stems = stems[order]
         object.__setattr__(self, "free_mode", int(self.free_mode))
         object.__setattr__(self, "stems", _frozen(stems))
 
@@ -239,7 +251,7 @@ def make_fiber_mask(tensor: SparseCountTensor, free_mode: int, fraction: float,
         raise ValueError(
             f"fraction {fraction} of {total} candidate stems selects none")
     rng = np.random.default_rng(seed)
-    keys = np.sort(rng.choice(total, size=n, replace=False))
+    keys = rng.choice(total, size=n, replace=False)
     stems = np.stack(np.unravel_index(keys, reduced), axis=1)
     return FiberMask(free_mode=free_mode, stems=stems)
 
@@ -279,6 +291,7 @@ def split(tensor: SparseCountTensor, mask: FiberMask) -> tuple[SparseCountTensor
 # ---------------------------------------------------------------------------
 # Text formats. COO: header "M D_1 ... D_M", then "d_1 ... d_M count" per
 # non-zero, 1-based. Mask: header "free_mode=m", then one stem per line.
+# ``np.savetxt`` writes the rows of both (%d, space-separated).
 # Manifest: one key=value per line, written by ``write_manifest`` (state
 # directories, run directories, synth's config.txt) and read by
 # ``read_manifest``. These three skip blank lines and '#' comments through
@@ -286,10 +299,8 @@ def split(tensor: SparseCountTensor, mask: FiberMask) -> tuple[SparseCountTensor
 # ---------------------------------------------------------------------------
 
 def write_coo(tensor: SparseCountTensor, path) -> None:
-    with open(path, "w") as f:
-        f.write(f"{tensor.ndim} {' '.join(str(d) for d in tensor.shape)}\n")
-        for row, c in zip(tensor.coords, tensor.counts):
-            f.write(" ".join(str(int(v) + 1) for v in row) + f" {int(c)}\n")
+    np.savetxt(path, np.column_stack((tensor.coords + 1, tensor.counts)), fmt="%d",
+               header=" ".join(map(str, (tensor.ndim, *tensor.shape))), comments="")
 
 
 def _content_lines(f):
@@ -364,10 +375,8 @@ def load_coo(path) -> SparseCountTensor:
 
 
 def write_mask(mask: FiberMask, path) -> None:
-    with open(path, "w") as f:
-        f.write(f"free_mode={mask.free_mode + 1}\n")
-        for row in mask.stems:
-            f.write(" ".join(str(int(v) + 1) for v in row) + "\n")
+    np.savetxt(path, mask.stems + 1, fmt="%d", header=f"free_mode={mask.free_mode + 1}",
+               comments="")
 
 
 def load_mask(path) -> FiberMask:
@@ -385,19 +394,17 @@ def load_mask(path) -> FiberMask:
         if free_mode < 0:
             raise ValueError(f"{path}:{ln}: free_mode must be a 1-based mode")
         stems = []
-        width = None
         for ln, line in lines:
             try:
                 row = [int(t) - 1 for t in line.split()]
             except ValueError:
                 raise ValueError(f"{path}:{ln}: non-integer stem coordinate") from None
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
+            if stems and len(row) != len(stems[0]):
                 raise ValueError(f"{path}:{ln}: inconsistent stem width")
             stems.append(row)
-    arr = np.array(stems, dtype=np.int64).reshape(len(stems), width or 0)
-    return FiberMask(free_mode=free_mode, stems=arr)
+    if not stems:
+        raise ValueError(f"{path}: no stems after the 'free_mode=' header")
+    return FiberMask(free_mode=free_mode, stems=np.array(stems, dtype=np.int64))
 
 
 def write_manifest(path, items) -> None:

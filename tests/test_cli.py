@@ -135,6 +135,31 @@ class TestIngest:
         assert capsys.readouterr().err == "error: ev.tsv:3: empty mode-2 field\n"
         assert not (tmp_path / "out").exists()
 
+    def test_events_without_mode_columns_refused(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ev.tsv").write_text("i\tj\na\tx\n")
+        rc = run_cli("ingest", "--data", "ev.tsv", "--out", tmp_path / "out")
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --format events needs --mode-cols\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--mode-cols", "i,j"], ["--count-col", "n"], ["--delimiter", ","],
+        ["--vocab", "1=v.txt"], ["--time-col", "j"], ["--time-start", "2001-01"],
+        ["--time-end", "2001-12"], ["--vocab", "1=v.txt", "--time-col", "j"],
+    ], ids=lambda flags: " ".join(flags[::2]))
+    def test_coo_refuses_event_flags(self, tmp_path, capsys, monkeypatch, flags):
+        # a COO file has no columns, labels or dates for these flags to name
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "t.coo").write_text("2 3 3\n1 2 1\n")
+        (tmp_path / "v.txt").write_text("a\nb\nc\n")
+        rc = run_cli("ingest", "--data", "t.coo", "--format", "coo", *flags,
+                     "--out", tmp_path / "out")
+        assert rc == 2
+        named = ", ".join(flags[::2])
+        assert capsys.readouterr().err == f"error: --format coo takes no {named}\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestMask:
     def test_batch_masks_distinct_and_reproducible(self, synth_coo, tmp_path,
@@ -184,6 +209,15 @@ class TestMask:
                      "--mask-frac", "1.5", "--out", tmp_path / "m")
         assert rc == 2
         assert "fraction" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_mask_count_below_one_refused(self, synth_coo, tmp_path, capsys, count):
+        rc = run_cli("mask", "--data", synth_coo, "--mask-mode", "3",
+                     "--num-masks", count, "--out", tmp_path / "m")
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: --num-masks must be at least 1, got {count}\n")
         assert not (tmp_path / "m").exists()
 
 
@@ -317,6 +351,17 @@ class TestFit:
                      "--mask-mode", "3", "--out", tmp_path / "run")
         assert rc == 2
         assert "thin must divide total" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_mask_file_without_stems_refused(self, synth_coo, tmp_path, capsys):
+        mask = tmp_path / "hdr.txt"
+        mask.write_text("free_mode=1\n")
+        rc = run_cli("fit", "--data", synth_coo, "--Q", "3", "--burnin", "0",
+                     "--iters", "1", "--thin", "1", "--mask", mask,
+                     "--out", tmp_path / "run")
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {mask}: no stems after the 'free_mode=' header\n")
         assert not (tmp_path / "run").exists()
 
     def test_format_flag_gone(self, synth_coo, tmp_path):

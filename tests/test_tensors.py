@@ -211,6 +211,141 @@ class TestCooFormat:
         assert np.array_equal(back.counts, tensor.counts)
 
 
+@st.composite
+def row_tables(draw):
+    """A table of 0, 1 or 2-24 rows of 1-4 columns, repeats likely, with the shape
+    that holds it and one count per row."""
+    width = draw(st.integers(1, 4))
+    shape = tuple(draw(st.integers(1, 4)) for _ in range(width))
+    n = draw(st.sampled_from([0, 1, draw(st.integers(2, 24))]))
+    rows = np.array([[draw(st.integers(0, d - 1)) for d in shape] for _ in range(n)],
+                    dtype=np.int64).reshape(n, width)
+    counts = np.array(draw(st.lists(st.integers(1, 9), min_size=n, max_size=n)),
+                      dtype=np.int64)
+    return shape, rows, counts
+
+
+def lexsorted_cells(rows, counts):
+    """The distinct rows in np.lexsort order and each one's summed count,
+    one row at a time."""
+    order = np.lexsort(rows.T[::-1])
+    cells, totals = [], []
+    for row, count in zip(rows[order].tolist(), counts[order].tolist()):
+        if cells and cells[-1] == row:
+            totals[-1] += count
+        else:
+            cells.append(row)
+            totals.append(count)
+    return (np.array(cells, dtype=np.int64).reshape(-1, rows.shape[1]),
+            np.array(totals, dtype=np.int64))
+
+
+class TestRowOrder:
+    """Every table of rows the module sorts comes out in np.lexsort order,
+    repeated rows summed or refused."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(row_tables())
+    def test_constructors_and_readers_give_lexsort_order(self, tmp_path_factory, table):
+        shape, rows, counts = table
+        order = np.lexsort(rows.T[::-1])
+        cells, totals = lexsorted_cells(rows, counts)
+        repeated = len(cells) < len(rows)
+
+        if repeated:
+            with pytest.raises(ValueError, match="duplicate coordinates"):
+                SparseCountTensor(shape, rows, counts)
+            with pytest.raises(ValueError, match="stems must be unique"):
+                FiberMask(0, rows)
+        else:
+            t = SparseCountTensor(shape, rows, counts)
+            assert np.array_equal(t.coords, rows[order])
+            assert np.array_equal(t.counts, counts[order])
+            mask = FiberMask(0, rows)
+            assert mask.stems.dtype == np.int64
+            assert np.array_equal(mask.stems, rows[order])
+
+        t = SparseCountTensor.from_entries(
+            shape, [(tuple(r), int(c)) for r, c in zip(rows, counts)])
+        assert np.array_equal(t.coords, cells) and np.array_equal(t.counts, totals)
+
+        path = tmp_path_factory.mktemp("coo") / "t.coo"
+        body = "".join(" ".join(map(str, r + 1)) + f" {c}\n" for r, c in zip(rows, counts))
+        path.write_text(f"{len(shape)} {' '.join(map(str, shape))}\n{body}")
+        t = load_coo(path)
+        assert t.coords.dtype == np.int64 and t.counts.dtype == np.int64
+        assert np.array_equal(t.coords, cells) and np.array_equal(t.counts, totals)
+
+    def test_shape_of_more_cells_than_int64_indexes(self):
+        # 2**62 * 2**62 * 3 cells have no int64 row-major index
+        shape = (2 ** 62, 2 ** 62, 3)
+        big = 2 ** 62 - 1
+        rows = np.array([[big, 0, 2], [0, big, 1], [big, 0, 0], [0, 0, 2], [0, big, 0]])
+        t = SparseCountTensor(shape, rows, [1, 2, 3, 4, 5])
+        order = np.lexsort(rows.T[::-1])
+        assert np.array_equal(t.coords, rows[order])
+        assert t.counts.tolist() == [4, 5, 2, 3, 1]
+        with pytest.raises(ValueError, match="duplicate coordinates"):
+            SparseCountTensor(shape, np.concatenate([rows, rows[1:2]]), [1] * 6)
+
+        t = SparseCountTensor.from_entries(
+            shape, [((big, 0, 2), 1), ((0, big, 1), 2), ((big, 0, 2), 3)])
+        assert cell_counts(t) == {(0, big, 1): 2, (big, 0, 2): 4}
+        assert t.coords.tolist() == [[0, big, 1], [big, 0, 2]]
+
+        stems = rows[:, :2]  # stems whose own extent passes 2**63 - 1 cells
+        with pytest.raises(ValueError, match="stems must be unique"):
+            FiberMask(2, stems)
+        mask = FiberMask(2, stems[[0, 1, 3]])
+        assert mask.stems.tolist() == [[0, 0], [0, big], [big, 0]]
+
+
+def reference_coo_text(tensor):
+    """The COO file of ``tensor``, written one row at a time."""
+    lines = [f"{tensor.ndim} " + " ".join(str(d) for d in tensor.shape)]
+    lines += [" ".join(str(int(v) + 1) for v in row) + f" {int(c)}"
+              for row, c in zip(tensor.coords, tensor.counts)]
+    return "".join(line + "\n" for line in lines)
+
+
+def reference_mask_text(mask):
+    """The mask file of ``mask``, written one stem at a time."""
+    lines = [f"free_mode={mask.free_mode + 1}"]
+    lines += [" ".join(str(int(v) + 1) for v in row) for row in mask.stems]
+    return "".join(line + "\n" for line in lines)
+
+
+class TestWriters:
+    @pytest.mark.parametrize("tensor", [
+        SparseCountTensor((4, 4, 4), [], []),
+        SparseCountTensor((7,), [[6], [0]], [3, 1]),
+        SparseCountTensor((3, 2), [[2, 1], [0, 0]], [INT64_MAX, 5]),
+        SparseCountTensor((2 ** 62, 10), [[2 ** 62 - 1, 9], [0, 0]], [1, 2]),
+        SparseCountTensor.from_entries((6, 5, 4, 3), {(5, 4, 3, 2): 9, (0, 1, 0, 1): 2,
+                                                      (3, 0, 2, 0): 1}),
+    ], ids=["empty", "one-mode", "int64-max", "wide-shape", "four-modes"])
+    def test_coo_bytes_match_a_row_by_row_writer(self, tmp_path, tensor):
+        path = tmp_path / "t.coo"
+        write_coo(tensor, path)
+        assert path.read_bytes() == reference_coo_text(tensor).encode()
+        back = load_coo(path)
+        assert np.array_equal(back.coords, tensor.coords)
+        assert np.array_equal(back.counts, tensor.counts)
+
+    @pytest.mark.parametrize("mask", [
+        FiberMask(1, np.array([[4, 0]])),
+        FiberMask(0, np.array([[3], [0], [11]])),
+        FiberMask(2, np.array([[2 ** 62, 1], [5, 7], [0, 2 ** 62]])),
+    ], ids=["one-stem", "one-column", "wide-stems"])
+    def test_mask_bytes_match_a_row_by_row_writer(self, tmp_path, mask):
+        path = tmp_path / "mask.txt"
+        write_mask(mask, path)
+        assert path.read_bytes() == reference_mask_text(mask).encode()
+        back = load_mask(path)
+        assert back.free_mode == mask.free_mode
+        assert np.array_equal(back.stems, mask.stems)
+
+
 class TestEvents:
     def _write(self, tmp_path, rows, header="i\tj\tt"):
         path = tmp_path / "events.tsv"
@@ -379,6 +514,14 @@ class TestFiberMask:
         path.write_text(f"# held-out fibers\nfree_mode={value}\n1 1\n")
         with pytest.raises(ValueError, match=r"mask\.txt:2: .*free_mode"):
             load_mask(path)
+
+    @pytest.mark.parametrize("text", ["free_mode=1\n", "# none\nfree_mode=2\n\n# c\n"])
+    def test_mask_file_without_stems_refused(self, tmp_path, text):
+        path = tmp_path / "mask.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_mask(path)
+        assert str(info.value) == f"{path}: no stems after the 'free_mode=' header"
 
     def test_unique_stems_required(self):
         with pytest.raises(ValueError, match="unique"):
