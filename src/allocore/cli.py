@@ -116,7 +116,7 @@ def _schema_from_args(args) -> tuple[EventSchema, TimeBinning | None]:
         if args.time_col not in mode_cols:
             raise ValueError(f"--time-col {args.time_col!r} is not a mode column")
         time_mode = mode_cols.index(args.time_col)
-        binning = TimeBinning(unit=args.time_bin, start=args.time_start,
+        binning = TimeBinning(unit=args.time_bin or "month", start=args.time_start,
                               end=args.time_end)
     vocabs = {}
     for spec in args.vocab or []:
@@ -144,9 +144,9 @@ def _schema_from_args(args) -> tuple[EventSchema, TimeBinning | None]:
     return schema, binning
 
 
-# the flags only --format events reads; --time-bin has a default, so is not here
+# the flags only --format events reads
 _EVENT_FLAGS = ("mode_cols", "count_col", "delimiter", "vocab", "time_col",
-                "time_start", "time_end")
+                "time_bin", "time_start", "time_end")
 
 
 def cmd_ingest(args, argv) -> int:
@@ -533,7 +533,8 @@ def _add_schema_flags(p):
     p.add_argument("--vocab", action="append", default=None, metavar="MODE=PATH",
                    help="fixed vocabulary file for a 1-based mode; repeatable")
     p.add_argument("--time-col", default=None, help="mode column holding dates")
-    p.add_argument("--time-bin", default="month", choices=["month", "year"])
+    p.add_argument("--time-bin", default=None, choices=["month", "year"],
+                   help="time bin width (default: month)")
     p.add_argument("--time-start", default=None, help="first bin, e.g. 2000-01")
     p.add_argument("--time-end", default=None, help="last bin, e.g. 2006-12")
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .gibbs import PosteriorSamples
 from .state import TINY, Hyperparameters, ModelState, effective_dims
-from .tensors import SparseCountTensor, write_manifest
+from .tensors import SparseCountTensor, sum_entries, write_manifest
 
 __all__ = [
     "SyntheticConfig",
@@ -57,6 +57,9 @@ class SyntheticConfig:
             raise ValueError("core-value prior parameters must be positive")
         if self.fixed_columns:
             for m, cols in self.fixed_columns.items():
+                if not 0 <= m < len(self.shape):
+                    raise ValueError(f"fixed columns given for mode {m}, want a mode "
+                                     f"in 0..{len(self.shape) - 1}")
                 want = (self.shape[m], self.true_dims[m])
                 arr = np.asarray(cols, dtype=np.float64)
                 if arr.shape != want:
@@ -113,7 +116,7 @@ def generate(config: SyntheticConfig) -> tuple[SparseCountTensor, ModelState]:
     # gibbs.class_mass's order: it feeds rng.poisson, so reordering it would
     # change every generated tensor and any input cached from one.
     colsums = [f.sum(axis=0) for f in factors]
-    event_coords = []
+    event_coords = [np.empty((0, M), dtype=np.int64)]
     for q in range(Q):
         total_rate = core_values[q] * math.prod(
             colsums[m][locations[q, m]] for m in range(M))
@@ -126,13 +129,11 @@ def generate(config: SyntheticConfig) -> tuple[SparseCountTensor, ModelState]:
             coords[:, m] = rng.choice(config.shape[m], size=n, p=col / col.sum())
         event_coords.append(coords)
 
-    if event_coords:
-        all_coords = np.concatenate(event_coords, axis=0)
-        uniq, counts = np.unique(all_coords, axis=0, return_counts=True)
-        tensor = SparseCountTensor(config.shape, uniq, counts)
-    else:
-        tensor = SparseCountTensor(
-            config.shape, np.zeros((0, M), dtype=np.int64), np.zeros(0, dtype=np.int64))
+    # The empty first block makes a draw of no events the empty tensor. The
+    # blocks go before the sum, whose event-long temporaries set the peak.
+    events = np.concatenate(event_coords)
+    del event_coords
+    tensor = sum_entries(config.shape, events, np.ones(len(events), dtype=np.int64))
 
     hyper = Hyperparameters(a0=config.lambda_shape, b0=config.lambda_rate)
     truth_state = ModelState(

@@ -21,6 +21,7 @@ __all__ = [
     "EventSchema",
     "TimeBinning",
     "load_events",
+    "sum_entries",
     "make_fiber_mask",
     "split",
     "load_coo",
@@ -96,8 +97,8 @@ class SparseCountTensor:
         """Build from (multi-index, count) pairs, summing duplicates and
         dropping zero totals."""
         pairs = list(entries.items() if isinstance(entries, dict) else entries)
-        return _sum_repeats(shape, [idx for idx, _ in pairs],
-                            np.array([int(c) for _, c in pairs], dtype=object))
+        return sum_entries(shape, [idx for idx, _ in pairs],
+                           np.array([int(c) for _, c in pairs], dtype=object))
 
 
 _COUNT_MAX = np.iinfo(np.int64).max
@@ -118,14 +119,16 @@ def _row_order(rows: np.ndarray, dims) -> tuple[np.ndarray, np.ndarray]:
     return order, np.flatnonzero(np.diff(keys[order], prepend=-1))
 
 
-def _sum_repeats(shape, coords, counts, path=None, lines=None) -> SparseCountTensor:
+def sum_entries(shape, coords, counts, path=None, lines=None) -> SparseCountTensor:
     """The tensor of the entries (coords[i], counts[i]), 0-based, with a
     repeated cell's counts summed and zero totals dropped. ``counts`` holds
     int64 values or Python ints of any size. The first entry, in input
     order, that is negative or takes its cell's total past ``_COUNT_MAX``
     raises ValueError naming its line of ``path`` (given ``lines``) or its
     cell. The cells come out in ``_row_order``'s order, so the tensor
-    constructor's own sort of them takes one pass."""
+    constructor's own sort of them takes one pass. Every tensor builder
+    sums through it: ``SparseCountTensor.from_entries``, ``load_coo`` (and
+    its line-by-line reread), ``load_events`` and ``synthetic.generate``."""
     coords = np.asarray(coords, dtype=np.int64).reshape(len(counts), len(shape))
     order, starts = _row_order(coords, shape)  # starts: each cell's first entry
     counts = np.asarray(counts)[order]
@@ -246,6 +249,8 @@ def make_fiber_mask(tensor: SparseCountTensor, free_mode: int, fraction: float,
         raise ValueError(f"fraction must lie strictly in (0, 1), got {fraction}")
     reduced = tuple(d for m, d in enumerate(tensor.shape) if m != free_mode)
     total = math.prod(reduced)
+    if total > np.iinfo(np.int64).max:
+        raise ValueError(f"{total} candidate stems: more than int64 can index")
     n = int(math.floor(fraction * total))
     if n < 1:
         raise ValueError(
@@ -349,7 +354,7 @@ def _load_coo_lines(path) -> SparseCountTensor:
             lines.append(ln)
             coords.append([c - 1 for c in vals[:M]])
             counts.append(vals[M])
-    return _sum_repeats(shape, coords, np.array(counts, dtype=object), path, lines)
+    return sum_entries(shape, coords, np.array(counts, dtype=object), path, lines)
 
 
 def load_coo(path) -> SparseCountTensor:
@@ -368,7 +373,7 @@ def load_coo(path) -> SparseCountTensor:
             coords -= 1  # in place: a copy would live through the sum
             if (body.shape[1] == M + 1 and coords.min() >= 0 and (coords < shape).all()
                     and counts.min() > 0):
-                return _sum_repeats(shape, coords, counts)
+                return sum_entries(shape, coords, counts)
         except (ValueError, Warning):  # a total past int64 among them
             pass
     return _load_coo_lines(path)
@@ -394,11 +399,14 @@ def load_mask(path) -> FiberMask:
         if free_mode < 0:
             raise ValueError(f"{path}:{ln}: free_mode must be a 1-based mode")
         stems = []
+        int64_max = np.iinfo(np.int64).max
         for ln, line in lines:
             try:
                 row = [int(t) - 1 for t in line.split()]
             except ValueError:
                 raise ValueError(f"{path}:{ln}: non-integer stem coordinate") from None
+            if any(abs(c) > int64_max for c in row):
+                raise ValueError(f"{path}:{ln}: stem coordinate past int64")
             if stems and len(row) != len(stems[0]):
                 raise ValueError(f"{path}:{ln}: inconsistent stem width")
             stems.append(row)
@@ -602,5 +610,5 @@ def load_events(path, schema: EventSchema,
         for m, v in enumerate(vocabs):
             if not v:
                 vocabs[m] = ["(none)"]
-    tensor = _sum_repeats(shape, coords, np.array(counts, dtype=object), path, lines)
+    tensor = sum_entries(shape, coords, np.array(counts, dtype=object), path, lines)
     return tensor, vocabs

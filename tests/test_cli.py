@@ -147,6 +147,7 @@ class TestIngest:
         ["--mode-cols", "i,j"], ["--count-col", "n"], ["--delimiter", ","],
         ["--vocab", "1=v.txt"], ["--time-col", "j"], ["--time-start", "2001-01"],
         ["--time-end", "2001-12"], ["--vocab", "1=v.txt", "--time-col", "j"],
+        ["--time-bin", "year"],
     ], ids=lambda flags: " ".join(flags[::2]))
     def test_coo_refuses_event_flags(self, tmp_path, capsys, monkeypatch, flags):
         # a COO file has no columns, labels or dates for these flags to name
@@ -219,6 +220,20 @@ class TestMask:
         assert capsys.readouterr().err == (
             f"error: --num-masks must be at least 1, got {count}\n")
         assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize("command", ["mask", "fit"])
+    def test_stems_past_int64_refused(self, tmp_path, capsys, command):
+        # 2**40 * 2**40 candidate stems: more than rng.choice can draw from
+        coo = tmp_path / "wide.coo"
+        coo.write_text("3 1099511627776 1099511627776 2\n1 1 1 1\n")
+        rest = (["--Q", "2", "--burnin", "0", "--iters", "1", "--thin", "1"]
+                if command == "fit" else [])
+        rc = run_cli(command, "--data", coo, *rest, "--mask-mode", "3",
+                     "--mask-frac", "0.5", "--out", tmp_path / "out")
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {2 ** 80} candidate stems: more than int64 can index\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestFit:
@@ -362,6 +377,17 @@ class TestFit:
         assert rc == 2
         assert capsys.readouterr().err == (
             f"error: {mask}: no stems after the 'free_mode=' header\n")
+        assert not (tmp_path / "run").exists()
+
+    def test_mask_stem_past_int64_refused(self, synth_coo, tmp_path, capsys):
+        mask = tmp_path / "big.txt"
+        mask.write_text("free_mode=1\n99999999999999999999 1\n")
+        rc = run_cli("fit", "--data", synth_coo, "--Q", "3", "--burnin", "0",
+                     "--iters", "1", "--thin", "1", "--mask", mask,
+                     "--out", tmp_path / "run")
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {mask}:2: stem coordinate past int64\n")
         assert not (tmp_path / "run").exists()
 
     def test_format_flag_gone(self, synth_coo, tmp_path):

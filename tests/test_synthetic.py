@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -15,6 +16,51 @@ from allocore.synthetic import (
     write_histograms,
     write_trace,
 )
+
+
+# Generated tensors, recorded while generate still summed its events with its
+# own np.unique: the SHA-256 of the shape and of the coords and counts (dtype,
+# then bytes). Generation draws through NumPy's Generator, so they hold only
+# for the NumPy version they were taken with.
+DIGEST_NUMPY = "2.4.6"
+DIGESTS = {
+    "default": (default_config(0),
+                "e585b17145fd18a48ce3e6831f2aac8c1c7ee5ece59e8c005f365570babb44c9"),
+    # 269 cells holding 8,124,657 events
+    "many-events": (SyntheticConfig(column_scale=50.0, lambda_shape=9.0, seed=0),
+                    "030641c6a8a3024c11a97092c3f53b00535c5f0d9e0a4a1e7b1d63ee5e25091c"),
+    "one-mode": (SyntheticConfig(shape=(30,), true_dims=(3,), true_budget=2, seed=1),
+                 "ca6acebd27d159e258e2b38c38c5164c02e84f5440bc6751f35ac7325ef6bfea"),
+    "four-mode": (SyntheticConfig(shape=(8, 7, 6, 5), true_dims=(2, 2, 3, 2),
+                                  true_budget=5, seed=2),
+                  "4599070172352442f14a0b6ab76f5a7c8dcfdccfbefb3989fdad8ca18251e83b"),
+    "fixed-first-mode": (
+        SyntheticConfig(shape=(4, 6), true_dims=(2, 2), seed=3, fixed_columns={
+            0: np.array([[3.0, 0.5], [1.0, 0.5], [0.5, 1.0], [0.5, 3.0]])}),
+        "12e32f6aca5869f4be4b0f731bed92fbafbd24bcb265e19b53cb55da325dd40e"),
+    # no event is drawn
+    "all-zero": (SyntheticConfig(shape=(3, 3), true_dims=(1, 1), true_budget=1,
+                                 column_scale=1e-6, lambda_rate=1e6),
+                 "8f695093b2a82505464265c88891b0e159a33288e63be41340d6448eae213ed3"),
+}
+
+
+def tensor_digest(tensor) -> str:
+    h = hashlib.sha256(repr(tensor.shape).encode())
+    for arr in (tensor.coords, tensor.counts):
+        h.update(arr.dtype.str.encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.skipif(np.__version__ != DIGEST_NUMPY,
+                    reason=f"digests recorded with NumPy {DIGEST_NUMPY}, "
+                           f"this is NumPy {np.__version__}")
+@pytest.mark.parametrize("name", DIGESTS)
+def test_generated_tensor_matches_recorded_digest(name):
+    config, digest = DIGESTS[name]
+    tensor, _ = generate(config)
+    assert tensor_digest(tensor) == digest
 
 
 class TestGenerate:
@@ -82,6 +128,10 @@ class TestGenerate:
         with pytest.raises(ValueError, match="positive"):
             SyntheticConfig(shape=(4, 4), true_dims=(2, 2),
                             fixed_columns={0: np.zeros((4, 2))})
+        for mode in (-1, 2):  # no mode of a 2-mode design
+            with pytest.raises(ValueError, match=f"mode {mode}, want a mode in 0..1"):
+                SyntheticConfig(shape=(4, 4), true_dims=(2, 2),
+                                fixed_columns={mode: np.ones((4, 2))})
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

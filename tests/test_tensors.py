@@ -499,6 +499,12 @@ class TestFiberMask:
         with pytest.raises(ValueError, match="selects none"):
             make_fiber_mask(tensor, 0, 0.4, seed=0)
 
+    def test_candidate_stems_past_int64_refused(self):
+        tensor = SparseCountTensor.from_entries((2 ** 40, 2 ** 40, 2), {(0, 0, 0): 1})
+        with pytest.raises(ValueError) as info:
+            make_fiber_mask(tensor, 2, 0.5, seed=0)
+        assert str(info.value) == f"{2 ** 80} candidate stems: more than int64 can index"
+
     def test_mask_file_round_trip(self, tmp_path):
         tensor = SparseCountTensor.from_entries((5, 4, 3), {(0, 0, 0): 1})
         mask = make_fiber_mask(tensor, 1, 0.4, seed=2)
@@ -522,6 +528,14 @@ class TestFiberMask:
         with pytest.raises(ValueError) as info:
             load_mask(path)
         assert str(info.value) == f"{path}: no stems after the 'free_mode=' header"
+
+    @pytest.mark.parametrize("value", ["99999999999999999999", "-99999999999999999999"])
+    def test_stem_past_int64_names_the_line(self, tmp_path, value):
+        path = tmp_path / "mask.txt"
+        path.write_text(f"free_mode=1\n1 1\n{value} 1\n")
+        with pytest.raises(ValueError) as info:
+            load_mask(path)
+        assert str(info.value) == f"{path}:3: stem coordinate past int64"
 
     def test_unique_stems_required(self):
         with pytest.raises(ValueError, match="unique"):
