@@ -5,8 +5,10 @@ exact invocation, one key=value per line (a newline in a value is written
 as backslash-n). Mode indices and coordinates are 1-based on the command
 line and in all files. The environment variable ALLOCORE_THREADS, a positive
 integer (default 1), bounds the worker processes used for fit sweeps over
-several Q values. It does not bound eval, which scores held-out fibers on the
-calling thread and one helper thread of its own (see ``evaluation``).
+several Q values. Each fit chain runs on its calling thread and one helper
+thread of its own (see ``state.beside``), so ALLOCORE_THREADS = n can run up
+to 2n threads. The variable does not bound eval, which scores held-out fibers
+on the calling thread and one helper thread as well (see ``evaluation``).
 trace reads the chain log and the samples' manifests, not their states.
 """
 
@@ -287,9 +289,9 @@ def _fit_single(params: dict) -> str:
         "thin": params["thin"],
         **hyper_flags,
     })
-    samples = run_chain(train, mask, init, config, out_dir=out)
-    print(f"{out}: saved {samples.S} samples (iterations {init.next_iteration}"
-          f"..{params['burnin'] + params['iters']})")
+    saved = run_chain(train, mask, init, config, out_dir=out).iterations
+    span = f" (iterations {saved[0]}..{saved[-1]})" if saved else ""
+    print(f"{out}: saved {len(saved)} samples{span}")
     return out
 
 

@@ -16,16 +16,14 @@ indexes the tables by its cells' coordinates. Both give the same bits as
 scoring every cell on its own with one log-sum-exp over all cells. The log
 masses are written in place, into one array per block.
 
-Every set is scored on two threads: the calling thread and one helper,
-opened and joined inside the call. Both draw blocks from one shared
-iterator and write each block's masses to its own slice of the output, so
-two blocks are in flight at a time and the bits do not depend on which
-thread scored a block. The product, its sum over q and the log masses are
-NumPy loops that release the GIL, so the second block runs on a second
-core; with one block the helper finds no block left. The helper scores
-under the caller's NumPy error state.
+A set of more than one block is scored on two threads, the calling thread
+and one helper, by ``state.each_block``; ``state.beside`` describes the
+helper. Each block's masses are written to its own slice of the output, so
+the bits do not depend on which thread scored a block.
 
-``train_loglik`` scores one sample at a time over every training non-zero.
+``train_loglik`` scores one sample at a time over every training non-zero,
+through ``state.reconstruct_cells``, whose blocks the two threads share in
+the same way.
 """
 
 from __future__ import annotations
@@ -33,15 +31,14 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, logsumexp, xlogy
 
 from .gibbs import PosteriorSamples, proportional_train_loglik
-from .state import (ModelState, class_tables, load_state, rate_product,
-                    recover_state, row_blocks)
+from .state import (ModelState, class_tables, each_block, load_state,
+                    rate_product, recover_state, row_blocks)
 from .state import reconstruct_cells  # noqa: F401  perfbench's EVAL_TARGETS wraps it here
 from .tensors import HeldoutSet, SparseCountTensor
 
@@ -82,40 +79,21 @@ def _log_mixture_masses(samples: PosteriorSamples, heldout: HeldoutSet) -> np.nd
     tables = [class_tables(state) for state in samples.samples]
     Q = max(state.Q for state in samples.samples)
     out = np.empty(heldout.n_cells)
-    # a list's iterator, unlike a generator, may be drawn from by two threads
-    blocks = iter(list(row_blocks(heldout.n_cells // unit_cells, unit_cells * Q)))
 
-    def score():
-        try:
-            for lo, hi in blocks:
-                if layout is None:  # each mode's table rows at the cells
-                    index = heldout.coords[lo:hi].T
-                else:  # the stems' rows, and every row of the free mode
-                    index = [slice(None)] * (layout.stems.shape[1] + 1)
-                    for j, m in enumerate(layout.stem_modes):
-                        index[m] = layout.stems[lo:hi, j][:, None]
-                yhats = np.array([rate_product(state_tables, index).sum(axis=-1).ravel()
-                                  for state_tables in tables])
-                cells = slice(lo * unit_cells, hi * unit_cells)
-                masses = poisson_logpmf(heldout.counts[cells], yhats)
-                out[cells] = logsumexp(masses, axis=0) - math.log(samples.S)
-        finally:
-            # after an error, leave the other thread no further blocks
-            for _ in blocks:
-                pass
+    def score(lo, hi):
+        if layout is None:  # each mode's table rows at the cells
+            index = heldout.coords[lo:hi].T
+        else:  # the stems' rows, and every row of the free mode
+            index = [slice(None)] * (layout.stems.shape[1] + 1)
+            for j, m in enumerate(layout.stem_modes):
+                index[m] = layout.stems[lo:hi, j][:, None]
+        yhats = np.array([rate_product(state_tables, index).sum(axis=-1).ravel()
+                          for state_tables in tables])
+        cells = slice(lo * unit_cells, hi * unit_cells)
+        masses = poisson_logpmf(heldout.counts[cells], yhats)
+        out[cells] = logsumexp(masses, axis=0) - math.log(samples.S)
 
-    # NumPy keeps the error state per thread (1.x) or per context (2.x), so
-    # the helper sets the caller's own
-    errstate = dict(np.geterr(), call=np.geterrcall())
-
-    def helper_score():
-        with np.errstate(**errstate):
-            score()
-
-    with ThreadPoolExecutor(1) as helper:
-        helped = helper.submit(helper_score)
-        score()
-        helped.result()
+    each_block(row_blocks(heldout.n_cells // unit_cells, unit_cells * Q), score)
     return out
 
 

@@ -16,6 +16,7 @@ import hashlib
 import math
 import os
 import shutil
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -35,6 +36,8 @@ __all__ = [
     "reconstruct_cells",
     "class_tables",
     "rate_product",
+    "beside",
+    "each_block",
     "cell_rates",
     "effective_dims",
     "save_state",
@@ -297,6 +300,56 @@ def row_blocks(n: int, width: int, block_bytes: int | None = None):
     return zip(edges[:-1], edges[1:])
 
 
+def beside(helper_work, work) -> None:
+    """Run ``helper_work()`` on one helper thread while the calling thread
+    runs ``work()``, and return once both have ended. The helper is opened
+    and joined inside the call and runs under the caller's NumPy error
+    state. An error raised by either is raised here, on the calling thread;
+    ``work``'s first. The two must share an end: whatever stops one (an
+    error included) must let the other finish, or the join waits on it.
+
+    NumPy's loops release the GIL, so the two run on two cores, and every
+    traced span stays on the calling thread as long as neither piece calls
+    a function that the benchmark's spans wrap."""
+    # NumPy keeps the error state per thread (1.x) or per context (2.x), so
+    # the helper sets the caller's own
+    errstate = dict(np.geterr(), call=np.geterrcall())
+
+    def helped():
+        with np.errstate(**errstate):
+            helper_work()
+
+    with ThreadPoolExecutor(1) as helper:
+        done = helper.submit(helped)
+        work()
+        done.result()
+
+
+def each_block(blocks, work) -> None:
+    """``work(lo, hi)`` for every (lo, hi) of ``blocks``, shared between the
+    calling thread and one helper (``beside``), or inline when there is one
+    block. Both threads draw from one shared iterator, and after an error
+    the thread that saw it drains the rest, so the other finds no block
+    left. Each block runs whole on one thread, so a ``work`` that writes
+    only its own block's slice gives the same bits whichever thread ran it."""
+    blocks = list(blocks)
+    # a list's iterator, unlike a generator, may be drawn from by two threads
+    shared = iter(blocks)
+
+    def run():
+        try:
+            for lo, hi in shared:
+                work(lo, hi)
+        finally:
+            for _ in shared:
+                pass
+
+    if len(blocks) < 2:
+        run()
+    else:
+        beside(run, run)
+
+
 def cell_rates(state: ModelState, coords: np.ndarray) -> np.ndarray:
     """Per-class Poisson rates at the given cells: out[q, i] is the rate the
     q-th core entry contributes to cell i, ``values[q] * T_0[c_0, q] *
@@ -305,26 +358,34 @@ def cell_rates(state: ModelState, coords: np.ndarray) -> np.ndarray:
 
     The result is a fresh, writable, C-ordered (Q, n) table, so a caller
     reads or writes each class's rates as one contiguous row. It is filled
-    in blocks of cells of half ``_BLOCK_BYTES``: each block is a cell-major
-    ``rate_product`` that stays in cache for its transposed write, so a
-    call holds only the one table plus a block's gathers."""
+    in blocks of cells of half ``_BLOCK_BYTES``, shared by two threads
+    (``each_block``): each block is a cell-major ``rate_product`` that stays
+    in cache for its transposed write, so a call holds only the one table
+    plus two blocks' gathers."""
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, state.M)
     tables = class_tables(state)
     out = np.empty((state.Q, coords.shape[0]))
-    for lo, hi in row_blocks(coords.shape[0], state.Q, _BLOCK_BYTES // 2):
+
+    def fill(lo, hi):
         out[:, lo:hi] = rate_product(tables, coords[lo:hi].T).T
+
+    each_block(row_blocks(coords.shape[0], state.Q, _BLOCK_BYTES // 2), fill)
     return out
 
 
 def reconstruct_cells(state: ModelState, coords: np.ndarray) -> np.ndarray:
     """The model's total rate (its reconstruction) at each given cell: the
     ``sum(axis=1)`` of each block of ``cell_rates``'s fill, which NumPy
-    adds pairwise along the row, without the (Q, n) table."""
+    adds pairwise along the row, without the (Q, n) table. The blocks are
+    shared by two threads, as ``cell_rates`` shares them."""
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, state.M)
     tables = class_tables(state)
     totals = np.empty(coords.shape[0])
-    for lo, hi in row_blocks(coords.shape[0], state.Q, _BLOCK_BYTES // 2):
+
+    def total(lo, hi):
         totals[lo:hi] = rate_product(tables, coords[lo:hi].T).sum(axis=1)
+
+    each_block(row_blocks(coords.shape[0], state.Q, _BLOCK_BYTES // 2), total)
     return totals
 
 

@@ -360,6 +360,30 @@ class TestFit:
         assert "iteration 6" in err and "iteration 3" in err
         assert tree_bytes(out) == before
 
+    def test_summary_names_the_saved_iterations(self, synth_coo, tmp_path, capsys):
+        out = tmp_path / "run"
+        common = ["--data", synth_coo, "--Q", "3", "--burnin", "1", "--thin", "1",
+                  "--out", out]
+        assert run_cli("fit", *common, "--iters", "2") == 0
+        assert capsys.readouterr().out == f"{out}: saved 2 samples (iterations 2..3)\n"
+        assert run_cli("fit", *common, "--iters", "4", "--resume") == 0
+        assert capsys.readouterr().out == f"{out}: saved 2 samples (iterations 4..5)\n"
+        # the checkpoint is at the last iteration already, so nothing is saved
+        assert run_cli("fit", *common, "--iters", "4", "--resume") == 0
+        assert capsys.readouterr().out == f"{out}: saved 0 samples\n"
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--iters", "0", "--thin", "1"], "total must be at least 1 sweep, got 0"),
+        (["--iters", "4", "--thin", "0"], "thin must be at least 1, got 0"),
+    ])
+    def test_empty_chain_refused_with_its_own_message(self, synth_coo, tmp_path,
+                                                      capsys, flags, message):
+        rc = run_cli("fit", "--data", synth_coo, "--Q", "3", "--burnin", "1",
+                     *flags, "--out", tmp_path / "run")
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "run").exists()
+
     def test_bad_thin_refused_before_writing(self, synth_coo, tmp_path, capsys):
         rc = run_cli("fit", "--data", synth_coo, "--Q", "3", "--burnin", "0",
                      "--iters", "3", "--thin", "2", "--mask-frac", "0.01",

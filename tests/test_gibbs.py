@@ -4,6 +4,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import threading
 import time
 import warnings
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from allocore import gibbs as gibbs_module
 from allocore import state as state_module
 from allocore.gibbs import (
     ChainConfig,
@@ -263,6 +265,116 @@ class TestThinning:
         assert traced_peak(cell_rates, state, train.coords) <= 1.25 * table
         assert traced_peak(reconstruct_cells, state, train.coords) <= 0.1 * table
         assert traced_peak(proportional_train_loglik, state, train) <= 0.1 * table
+
+
+def forced_helper(monkeypatch, Q):
+    """Thinning's helper thread on from the first cell, and rate blocks of
+    two cells, so that small instances take the two-thread path."""
+    monkeypatch.setattr(gibbs_module, "_HELPER_MIN_CELLS", 0)
+    monkeypatch.setattr(state_module, "_BLOCK_BYTES", 8 * Q * 4)
+
+
+def on_helper(fn, record):
+    """``fn``, wrapped so that a call off the main thread first passes
+    ``record`` that thread's ident."""
+    main = threading.get_ident()
+
+    def wrapped(*args, **kwargs):
+        if threading.get_ident() != main:
+            record(threading.get_ident())
+        return fn(*args, **kwargs)
+    return wrapped
+
+
+class RaisingRng:
+    """A thinning generator whose draw of class row ``row`` raises."""
+
+    def __init__(self, seed, row):
+        self.rng, self.row, self.rows = substream(seed, 1, THIN_BLOCK), row, 0
+
+    def binomial(self, n, p):
+        if self.rows == self.row:
+            raise FloatingPointError(f"draw of row {self.row}")
+        self.rows += 1
+        return self.rng.binomial(n, p)
+
+
+class TestTwoThreadThinning:
+    """On rows of ``_HELPER_MIN_CELLS`` cells or more, thinning's suffix
+    division and row sums run on one helper thread beside the draws. The
+    cut-off is patched to 0 here, so small instances take that path."""
+
+    def test_error_in_a_draw_is_raised_and_no_thread_left(self, monkeypatch):
+        train, state = random_instance(0, Q=7, n=60)
+        forced_helper(monkeypatch, state.Q)
+        summed = []
+        monkeypatch.setattr(np, "bincount", on_helper(np.bincount, summed.append))
+        rng = RaisingRng(0, row=3)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="draw of row 3"):
+            thin_counts(state, train, rng)
+        assert threading.active_count() == before
+        # the helper summed the three rows drawn before the error, each
+        # over every mode, and then ended
+        assert len(summed) == 3 * train.ndim
+        assert rng.rows == 3
+
+    def test_error_in_the_row_sums_is_raised_on_the_calling_thread(self, monkeypatch):
+        train, state = random_instance(1, Q=7, n=60)
+        forced_helper(monkeypatch, state.Q)
+        raised = []
+
+        def fail(thread):
+            raised.append(thread)
+            raise FloatingPointError("row sums")
+
+        monkeypatch.setattr(np, "bincount", on_helper(np.bincount, fail))
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="row sums"):
+            thin_counts(state, train, substream(1, 1, THIN_BLOCK))
+        assert len(raised) == 1 and raised[0] != threading.get_ident()
+        assert threading.active_count() == before
+
+    def test_helper_runs_under_the_callers_errstate(self, monkeypatch):
+        train, state = random_instance(2, Q=7, n=60)
+        forced_helper(monkeypatch, state.Q)
+        seen = {}
+
+        def record(name):
+            return lambda thread: seen.setdefault(name, (thread, np.geterr()["divide"]))
+
+        # the helper's half of the suffix division, and its row sums
+        monkeypatch.setattr(np, "divide", on_helper(np.divide, record("divide")))
+        monkeypatch.setattr(np, "bincount", on_helper(np.bincount, record("sums")))
+        with np.errstate(divide="raise"):
+            thin_counts(state, train, substream(2, 1, THIN_BLOCK))
+        assert sorted(seen) == ["divide", "sums"]
+        assert {mode for _, mode in seen.values()} == {"raise"}
+        assert threading.get_ident() not in {thread for thread, _ in seen.values()}
+
+    @pytest.mark.parametrize("Q, max_count, n", [(1, 9, 60), (2, 9, 60),
+                                                 (7, 60, 200), (40, 2, 300),
+                                                 (40, 60, 1)])
+    def test_sources_equal_the_inline_paths_byte_for_byte(self, Q, max_count, n,
+                                                          monkeypatch):
+        train, state = random_instance(Q, shape=(9, 8, 7), Q=Q, n=n,
+                                       max_count=max_count)
+        state.core_values[:] = np.random.default_rng(Q).gamma(0.5, 1.0, Q)
+        inline = thin_counts(state, train, substream(Q, 1, THIN_BLOCK))
+        forced_helper(monkeypatch, Q)
+        # switch threads often, so that the helper's rows interleave with
+        # the draws in many places
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            helped = thin_counts(state, train, substream(Q, 1, THIN_BLOCK))
+        finally:
+            sys.setswitchinterval(switch)
+        pairs = [(helped.per_cell, inline.per_cell), (helped.totals, inline.totals)]
+        pairs += list(zip(helped.mode_marginals, inline.mode_marginals, strict=True))
+        for got, want in pairs:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 class TestAggregateConsistency:
@@ -641,8 +753,20 @@ class TestChainConfig:
         assert (cfg.burn_in, cfg.total, cfg.thin) == (1000, 4000, 20)
 
     def test_thin_must_divide(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="thin must divide total"):
             ChainConfig(total=10, thin=3)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"total": 0}, "total must be at least 1 sweep, got 0"),
+        ({"total": -4, "thin": 2}, "total must be at least 1 sweep, got -4"),
+        ({"total": 0, "thin": 0}, "total must be at least 1 sweep"),
+        ({"total": 10, "thin": 0}, "thin must be at least 1, got 0"),
+        ({"total": 10, "thin": -5}, "thin must be at least 1, got -5"),
+        ({"burn_in": -1}, "burn_in must be non-negative"),
+    ])
+    def test_each_bad_setting_has_its_own_message(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ChainConfig(**kwargs)
 
 
 class TestRunChain:

@@ -144,7 +144,8 @@ def test_chain_matches_its_recorded_digests(name, helper, golden, tmp_path,
                                             monkeypatch):
     monkeypatch.delenv("ALLOCORE_THREADS", raising=False)
     if helper == "forced":
-        monkeypatch.setattr(gibbs, "_HELPER_MIN_CELLS", 0, raising=False)
+        monkeypatch.setattr(gibbs, "_HELPER_MIN_CELLS", 0)
+        # blocks of a few cells even at the largest Q here, 32
         monkeypatch.setattr(state, "_BLOCK_BYTES", 8 * 2 * 32)
     assert digests(name, str(tmp_path)) == golden[name]
 

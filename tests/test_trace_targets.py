@@ -31,7 +31,11 @@ def test_traced_masked_sweep_records_every_layer(tmp_path, monkeypatch):
     originals = {(mod, attr): _owner(mod).__dict__[attr]
                  for mod, attr, *_ in targets}
 
-    recorder = spans.SpanRecorder()
+    # thinning's helper from the first cell and rate blocks of two cells,
+    # so that the fit phase runs its two-thread paths on this small tensor
+    monkeypatch.setattr(gibbs, "_HELPER_MIN_CELLS", 0)
+    monkeypatch.setattr(state, "_BLOCK_BYTES", 8 * 4 * init.Q)
+    recorder, threads = thread_recorder(spans)
     undo = spans.instrument(recorder, targets)
     try:
         gibbs.run_chain(train, mask, init,
@@ -40,6 +44,7 @@ def test_traced_masked_sweep_records_every_layer(tmp_path, monkeypatch):
     finally:
         undo()
 
+    assert_spans_on_calling_thread(recorder, threads)
     stats = spans.span_stats(recorder.spans)
     for name in ("gibbs.run_chain", "gibbs.thin_counts", "gibbs.sample_locations",
                  "gibbs.sample_lambda", "gibbs.sample_phi", "gibbs.sample_pi",
@@ -70,15 +75,7 @@ def test_traced_masked_sweep_records_every_layer(tmp_path, monkeypatch):
     # module attribute it is wrapped under. Blocks of two stems give both
     # scoring threads blocks to score.
     monkeypatch.setattr(state, "_BLOCK_BYTES", 8 * 2 * X.shape[2] * init.Q)
-    recorder = spans.SpanRecorder()
-    threads = set()
-    begin = recorder.begin
-
-    def begin_on_thread(name):
-        threads.add(threading.get_ident())
-        return begin(name)
-
-    recorder.begin = begin_on_thread
+    recorder, threads = thread_recorder(spans)
     undo = spans.instrument(recorder, spans.EVAL_TARGETS)
     try:
         samples = evaluation.load_samples(str(tmp_path / "run"))
@@ -89,14 +86,7 @@ def test_traced_masked_sweep_records_every_layer(tmp_path, monkeypatch):
     finally:
         undo()
 
-    # every span begins on the calling thread and lies inside its parent's:
-    # the recorder keeps one stack of open spans, which a span begun on
-    # another thread would corrupt
-    assert threads == {threading.get_ident()}
-    for name, start, end, parent in recorder.spans:
-        if parent >= 0:
-            _, parent_start, parent_end, _ = recorder.spans[parent]
-            assert parent_start <= start <= end <= parent_end, name
+    assert_spans_on_calling_thread(recorder, threads)
     stats = spans.span_stats(recorder.spans)
     for _, _, name, *_ in spans.EVAL_TARGETS:
         if name != "evaluation.reconstruct_cells":
@@ -106,6 +96,31 @@ def test_traced_masked_sweep_records_every_layer(tmp_path, monkeypatch):
     assert "evaluation.reconstruct_cells" not in stats
     for (mod, attr), original in originals.items():
         assert _owner(mod).__dict__[attr] is original
+
+
+def thread_recorder(spans):
+    """A span recorder, and the set of threads it sees a span begin on."""
+    recorder = spans.SpanRecorder()
+    threads = set()
+    begin = recorder.begin
+
+    def begin_on_thread(name):
+        threads.add(threading.get_ident())
+        return begin(name)
+
+    recorder.begin = begin_on_thread
+    return recorder, threads
+
+
+def assert_spans_on_calling_thread(recorder, threads):
+    """Every span began on the calling thread and lies inside its parent's:
+    the recorder keeps one stack of open spans, which a span begun on
+    another thread would corrupt."""
+    assert threads == {threading.get_ident()}
+    for name, start, end, parent in recorder.spans:
+        if parent >= 0:
+            _, parent_start, parent_end, _ = recorder.spans[parent]
+            assert parent_start <= start <= end <= parent_end, name
 
 
 def _owner(mod_name):
